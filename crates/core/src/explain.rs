@@ -151,21 +151,9 @@ impl Deserialize for Explanation {
     }
 }
 
-/// Leave-one-out statistics: `(p_max, Δ)` of `routes` with index `skip`
-/// removed.
-fn loo_stats(routes: &[Route], skip: usize) -> (f64, f64) {
-    let rest: Vec<Route> = routes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != skip)
-        .map(|(_, r)| r.clone())
-        .collect();
-    let stats = LinkStats::from_routes(&rest);
-    (stats.p_max(), stats.delta())
-}
-
 /// Shared construction: list the suspect-crossing routes with their
-/// leave-one-out contributions. `p_max`/`delta` are the observed set
+/// leave-one-out contributions, each read from the set's one link table
+/// ([`LinkStats::leave_one_out`]). `p_max`/`delta` are the observed set
 /// statistics whichever detector produced the verdict.
 #[allow(clippy::too_many_arguments)]
 fn build_explanation(
@@ -182,13 +170,14 @@ fn build_explanation(
     anomalous: bool,
 ) -> Explanation {
     let stats = LinkStats::from_routes(routes);
+    let loo = stats.leave_one_out();
     let mut explained = Vec::new();
-    for (i, route) in routes.iter().enumerate() {
+    for route in routes {
         let crosses = suspect.map(|l| route.contains_link(l)).unwrap_or(false);
         if !crosses {
             continue;
         }
-        let (loo_p_max, loo_delta) = loo_stats(routes, i);
+        let (loo_p_max, loo_delta) = loo.without(route);
         explained.push(RouteExplanation {
             nodes: route.nodes().iter().map(|n| n.0).collect(),
             hops: route
@@ -329,6 +318,55 @@ mod tests {
             r(&[0, 3, 7, 8, 4, 9]),
             r(&[0, 5, 6, 9]), // one honest straggler
         ]
+    }
+
+    /// The naive leave-one-out the explainer must reproduce: re-tabulate
+    /// the set without route `skip`.
+    fn naive_loo(routes: &[Route], skip: usize) -> (f64, f64) {
+        let rest: Vec<Route> = routes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != skip)
+            .map(|(_, r)| r.clone())
+            .collect();
+        let stats = LinkStats::from_routes(&rest);
+        (stats.p_max(), stats.delta())
+    }
+
+    /// Explain `verdict` and check that every listed route's
+    /// contributions are the verdict's statistics minus the naive
+    /// leave-one-out, bit for bit. Returns the explanation.
+    fn assert_contributions_match_naive(
+        routes: &[Route],
+        verdict: &DetectorVerdict,
+    ) -> Explanation {
+        let ex = Explanation::from_verdict(routes, verdict);
+        let crossing: Vec<usize> = (0..routes.len())
+            .filter(|&i| {
+                verdict
+                    .suspect_link
+                    .is_some_and(|l| routes[i].contains_link(l))
+            })
+            .collect();
+        assert_eq!(ex.routes.len(), crossing.len());
+        for (listed, &i) in ex.routes.iter().zip(&crossing) {
+            let nodes: Vec<u32> = routes[i].nodes().iter().map(|n| n.0).collect();
+            assert_eq!(listed.nodes, nodes);
+            let (p_max, delta) = naive_loo(routes, i);
+            assert_eq!(
+                listed.p_max_contribution.to_bits(),
+                (verdict.p_max - p_max).to_bits(),
+                "{}: p_max contribution of route {i}",
+                verdict.detector
+            );
+            assert_eq!(
+                listed.delta_contribution.to_bits(),
+                (verdict.delta - delta).to_bits(),
+                "{}: Δ contribution of route {i}",
+                verdict.detector
+            );
+        }
+        ex
     }
 
     fn explain() -> (Vec<Route>, Explanation) {
@@ -508,5 +546,87 @@ mod tests {
         // The suspect-crossing route listing works off the verdict's link.
         assert_eq!(ex.suspect_link, Some((7, 8)));
         assert_eq!(ex.routes.len(), 3);
+    }
+
+    #[test]
+    fn every_detector_contribution_matches_the_naive_leave_one_out() {
+        use crate::detect::{DetectorInput, DetectorRegistry, DETECTOR_NAMES};
+        let profile = NormalProfile::train(&normal_sets(), 20);
+        let registry = DetectorRegistry::calibrated();
+        let mut sets = normal_sets();
+        sets.push(attacked_set());
+        sets.push(vec![r(&[0, 7, 8, 9])]);
+        sets.push(vec![
+            r(&[0, 7, 8, 9]),
+            r(&[0, 1, 7, 8, 2, 9]),
+            r(&[0, 11, 12, 9]),
+            r(&[0, 3, 11, 12, 4, 9]),
+        ]);
+        let mut listed = 0;
+        for routes in &sets {
+            for name in DETECTOR_NAMES {
+                let verdict = registry
+                    .get(name)
+                    .expect("registered")
+                    .detect(&DetectorInput::new(routes, &profile));
+                listed += assert_contributions_match_naive(routes, &verdict)
+                    .routes
+                    .len();
+            }
+        }
+        assert!(listed > 0, "no route was explained; the check is vacuous");
+    }
+
+    #[test]
+    fn removed_route_holding_the_top_three_links_finds_the_off_route_tie() {
+        // The first route carries the three most frequent links (0-1 ×4,
+        // 1-2 ×3, 2-3 ×3) while the off-route link 6-7 ties the third
+        // (×3) but ranks fourth in link order. Removing the route leaves
+        // 6-7 and 0-1 tied at 3, so Δ = 0; a "global top three" shortcut
+        // sees only 3, 2, 2 and reads Δ = 1/3.
+        let routes = vec![
+            r(&[0, 1, 2, 3]),
+            r(&[0, 1, 2, 3]),
+            r(&[0, 1, 2, 3]),
+            r(&[0, 1, 5]),
+            r(&[6, 7]),
+            r(&[6, 7]),
+            r(&[6, 7]),
+        ];
+        let stats = LinkStats::from_routes(&routes);
+        assert_eq!(stats.total_links(), 14);
+        assert_eq!(stats.leave_one_out().without(&routes[0]), (3.0 / 11.0, 0.0));
+        assert_eq!(naive_loo(&routes, 0), (3.0 / 11.0, 0.0));
+        let profile = NormalProfile::train(&normal_sets(), 20);
+        let d = SamDetector::default();
+        let verdict = crate::detect::verdict_from_sam(d.config(), &d.analyze(&routes, &profile));
+        let ex = assert_contributions_match_naive(&routes, &verdict);
+        assert_eq!(ex.suspect_link, Some((0, 1)));
+        assert_eq!(ex.routes.len(), 4);
+        assert_eq!(ex.routes[0].delta_contribution, verdict.delta);
+    }
+
+    #[test]
+    fn removing_a_route_that_creates_a_top_tie_zeroes_delta() {
+        // 7-8 ×3 leads 11-12 ×2; dropping any route through 7-8 ties
+        // them, so each leave-one-out Δ is exactly 0 and every route's
+        // Δ contribution is the whole observed Δ.
+        let routes = vec![
+            r(&[0, 7, 8, 9]),
+            r(&[0, 1, 7, 8, 2, 9]),
+            r(&[0, 3, 7, 8, 4, 9]),
+            r(&[0, 11, 12, 9]),
+            r(&[0, 5, 11, 12, 6, 9]),
+        ];
+        let profile = NormalProfile::train(&normal_sets(), 20);
+        let d = SamDetector::default();
+        let verdict = crate::detect::verdict_from_sam(d.config(), &d.analyze(&routes, &profile));
+        let ex = assert_contributions_match_naive(&routes, &verdict);
+        assert_eq!(ex.suspect_link, Some((7, 8)));
+        assert_eq!(ex.delta, 1.0 / 3.0);
+        assert_eq!(ex.routes.len(), 3);
+        for route in &ex.routes {
+            assert_eq!(route.delta_contribution, ex.delta);
+        }
     }
 }

@@ -112,25 +112,12 @@ impl LinkStats {
     /// The two largest counts `(n_max, n_2nd)`; zero-filled when there are
     /// fewer than two distinct links.
     pub fn top_two(&self) -> (u32, u32) {
-        let mut best = 0u32;
-        let mut second = 0u32;
-        for c in self.counts.values() {
-            if c > best {
-                second = best;
-                best = c;
-            } else if c > second {
-                second = c;
-            }
-        }
-        (best, second)
+        top_two_of(self.counts.values())
     }
 
     /// `p_max` (eq. 3). Zero for an empty route set.
     pub fn p_max(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        f64::from(self.top_two().0) / self.total as f64
+        p_max_of(self.top_two().0, self.total)
     }
 
     /// `Δ = (n_max − n_2nd)/n_max` (eq. 7). Zero when the top two counts
@@ -139,10 +126,19 @@ impl LinkStats {
     /// zero for an empty set.
     pub fn delta(&self) -> f64 {
         let (nmax, n2nd) = self.top_two();
-        if nmax == 0 {
-            return 0.0;
+        delta_of(nmax, n2nd)
+    }
+
+    /// Leave-one-out statistics for the tabulated routes. Ranks the
+    /// distinct links once, highest count first and ties in link order;
+    /// every removal then reads that shared ranking.
+    pub fn leave_one_out(&self) -> LeaveOneOut<'_> {
+        let mut ranked: Vec<(u32, Link)> = self.counts.iter().map(|(l, c)| (c, l)).collect();
+        ranked.sort_unstable_by_key(|&(c, l)| (std::cmp::Reverse(c), l));
+        LeaveOneOut {
+            stats: self,
+            ranked,
         }
-        f64::from(nmax - n2nd) / f64::from(nmax)
     }
 
     /// The most frequent link — SAM's attacker localization ("the
@@ -223,6 +219,78 @@ impl LinkStats {
             mean_hops: self.mean_hops(),
             suspect_link: self.suspect_link().map(|l| (l.lo().0, l.hi().0)),
         }
+    }
+}
+
+/// The two largest values `(n_max, n_2nd)` of a count multiset,
+/// zero-filled; a tie at the top gives `n_2nd = n_max`.
+fn top_two_of(counts: impl Iterator<Item = u32>) -> (u32, u32) {
+    let mut best = 0u32;
+    let mut second = 0u32;
+    for c in counts {
+        if c > best {
+            second = best;
+            best = c;
+        } else if c > second {
+            second = c;
+        }
+    }
+    (best, second)
+}
+
+/// `p_max = n_max / N` (eq. 3), zero when `N = 0`.
+fn p_max_of(nmax: u32, total: u64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    f64::from(nmax) / total as f64
+}
+
+/// `Δ = (n_max − n_2nd) / n_max` (eq. 7), zero when `n_max = 0`.
+fn delta_of(nmax: u32, n2nd: u32) -> f64 {
+    if nmax == 0 {
+        return 0.0;
+    }
+    f64::from(nmax - n2nd) / f64::from(nmax)
+}
+
+/// Leave-one-out statistics over one tabulated route set: `(p_max, Δ)`
+/// of the set with one of its routes removed, read from the shared
+/// table instead of re-tabulating the rest. Built by
+/// [`LinkStats::leave_one_out`].
+///
+/// Routes are loop-free, so a route holds each of its links once and
+/// removing it lowers exactly those counts by one and `N` by its hop
+/// count. The new top two are therefore the top two of the route's
+/// decremented counts and the two highest counts *off* the route. The
+/// walk down the ranked table must skip the route's own links: a route
+/// can carry the three most frequent links while an off-route link ties
+/// the third, and a "global top three" shortcut then misses that link.
+/// The walk stops after two off-route entries, so it visits at most
+/// `hops + 2` ranked entries, each checked against the route's hops:
+/// a removal's cost grows with the route's length, never with the
+/// set's size.
+#[derive(Clone, Debug)]
+pub struct LeaveOneOut<'a> {
+    stats: &'a LinkStats,
+    ranked: Vec<(u32, Link)>,
+}
+
+impl LeaveOneOut<'_> {
+    /// `(p_max, Δ)` of the tabulated set without `route`, bit-identical
+    /// to [`LinkStats::from_routes`] over the rest. `route` must be one
+    /// of the tabulated routes.
+    pub fn without(&self, route: &Route) -> (f64, f64) {
+        let on_route = route.links().map(|l| self.stats.count(l) - 1);
+        let off_route = self
+            .ranked
+            .iter()
+            .filter(|&&(_, l)| !route.contains_link(l))
+            .take(2)
+            .map(|&(c, _)| c);
+        let (nmax, n2nd) = top_two_of(on_route.chain(off_route));
+        let total = self.stats.total - route.hops() as u64;
+        (p_max_of(nmax, total), delta_of(nmax, n2nd))
     }
 }
 

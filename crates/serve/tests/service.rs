@@ -75,8 +75,9 @@ fn request_mix(n: u64) -> Vec<DetectionRequest> {
         .collect()
 }
 
-fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Verdict> {
-    let cfg = ServiceConfig {
+/// The service configuration the invariance tests share.
+fn invariance_config(workers: usize) -> ServiceConfig {
+    ServiceConfig {
         workers,
         queue_capacity: 64,
         max_batch: 4,
@@ -88,9 +89,16 @@ fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Ver
             ..SamConfig::default()
         },
         ..ServiceConfig::default()
-    };
+    }
+}
+
+/// Serve every request under `cfg` and collect the responses by id.
+fn serve_responses(
+    cfg: ServiceConfig,
+    requests: &[DetectionRequest],
+) -> BTreeMap<u64, DetectionResponse> {
     let service = DetectionService::start(cfg, synthetic_profiles());
-    let mut verdicts = BTreeMap::new();
+    let mut responses = BTreeMap::new();
     let mut pending = Vec::new();
     for req in requests {
         // Retry on shed: correctness tests must process every request.
@@ -108,12 +116,19 @@ fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Ver
     for p in pending {
         let resp = p.wait();
         assert!(
-            verdicts.insert(resp.id, resp.verdict).is_none(),
+            responses.insert(resp.id, resp).is_none(),
             "duplicate response id"
         );
     }
     service.shutdown();
-    verdicts
+    responses
+}
+
+fn serve_all(workers: usize, requests: &[DetectionRequest]) -> BTreeMap<u64, Verdict> {
+    serve_responses(invariance_config(workers), requests)
+        .into_iter()
+        .map(|(id, resp)| (id, resp.verdict))
+        .collect()
 }
 
 #[test]
@@ -203,6 +218,47 @@ fn explain_flag_attaches_explanations_that_name_the_wormhole() {
             );
         }
         assert_eq!(ex.anomalous, resp.verdict.anomalous);
+    }
+}
+
+#[test]
+fn explaining_never_perturbs_the_verdict() {
+    // The same mix served with explanations on and off must answer
+    // identically, on the SAM path and on the trait (ensemble) path.
+    for detector in [None, Some("ensemble")] {
+        let requests: Vec<DetectionRequest> = request_mix(60)
+            .into_iter()
+            .map(|r| DetectionRequest {
+                detector: detector.map(str::to_string),
+                ..r
+            })
+            .collect();
+        let plain = serve_responses(invariance_config(2), &requests);
+        let explained = serve_responses(
+            ServiceConfig {
+                explain: true,
+                ..invariance_config(2)
+            },
+            &requests,
+        );
+        assert_eq!(plain.len(), requests.len());
+        assert_eq!(explained.len(), requests.len());
+        for (id, off) in &plain {
+            let on = &explained[id];
+            assert!(off.explanation.is_none());
+            assert!(on.explanation.is_some(), "request {id} not explained");
+            assert_eq!(on.detector, off.detector, "request {id}");
+            assert_eq!(on.score.to_bits(), off.score.to_bits(), "request {id}");
+            assert_eq!(on.verdict, off.verdict, "request {id}");
+            assert_eq!(
+                on.verdict.suspect_link, off.verdict.suspect_link,
+                "request {id}"
+            );
+        }
+        assert!(
+            plain.values().any(|r| r.verdict.anomalous),
+            "{detector:?}: no anomalous verdicts in mix"
+        );
     }
 }
 

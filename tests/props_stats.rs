@@ -19,7 +19,64 @@ fn arb_route_set(routes: usize) -> impl Strategy<Value = Vec<Route>> {
     proptest::collection::vec(arb_route(24, 8), 1..=routes)
 }
 
+/// Strategy: a route set of 1..=n routes over a small pool of nodes
+/// (6–8 in use), so routes overlap heavily and a removed route often
+/// holds the most frequent links.
+fn arb_small_pool_route_set(pool: u32, routes: usize) -> impl Strategy<Value = Vec<Route>> {
+    proptest::collection::vec(arb_route(pool, pool as usize), 1..=routes)
+}
+
+/// Check the shared-table leave-one-out against re-tabulating the set
+/// without each route in turn, bit for bit.
+fn check_leave_one_out(routes: &[Route]) {
+    let stats = LinkStats::from_routes(routes);
+    let loo = stats.leave_one_out();
+    for (i, route) in routes.iter().enumerate() {
+        let mut rest = routes.to_vec();
+        rest.remove(i);
+        let naive = LinkStats::from_routes(&rest);
+        let (p_max, delta) = loo.without(route);
+        prop_assert_eq!(
+            p_max.to_bits(),
+            naive.p_max().to_bits(),
+            "p_max without route {}",
+            i
+        );
+        prop_assert_eq!(
+            delta.to_bits(),
+            naive.delta().to_bits(),
+            "Δ without route {}",
+            i
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn leave_one_out_matches_retabulating_the_rest(routes in arb_route_set(16)) {
+        check_leave_one_out(&routes);
+    }
+
+    #[test]
+    fn leave_one_out_matches_on_heavily_overlapping_sets(
+        six in arb_small_pool_route_set(6, 16),
+        seven in arb_small_pool_route_set(7, 16),
+        eight in arb_small_pool_route_set(8, 16),
+    ) {
+        check_leave_one_out(&six);
+        check_leave_one_out(&seven);
+        check_leave_one_out(&eight);
+    }
+
+    #[test]
+    fn leave_one_out_of_a_single_route_set_is_empty(route in arb_route(8, 8)) {
+        let routes = [route];
+        let stats = LinkStats::from_routes(&routes);
+        let (p_max, delta) = stats.leave_one_out().without(&routes[0]);
+        prop_assert_eq!(p_max.to_bits(), 0.0f64.to_bits());
+        prop_assert_eq!(delta.to_bits(), 0.0f64.to_bits());
+    }
+
     #[test]
     fn relative_frequencies_form_a_distribution(routes in arb_route_set(20)) {
         let stats = LinkStats::from_routes(&routes);
