@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sam_bench::{regenerate, show, BENCH_RUNS};
+use sam_experiments::store::RunStore;
 use sam_experiments::{table1, table2};
 use std::hint::black_box;
 use std::time::Duration;
@@ -21,12 +22,12 @@ fn bench_tables(c: &mut Criterion) {
 
     show(&regenerate("table1"));
     group.bench_function("table1_affected", |b| {
-        b.iter(|| black_box(table1::run(BENCH_RUNS)))
+        b.iter(|| black_box(table1::run(&mut RunStore::default(), BENCH_RUNS)))
     });
 
     show(&regenerate("table2"));
     group.bench_function("table2_overhead", |b| {
-        b.iter(|| black_box(table2::run(BENCH_RUNS)))
+        b.iter(|| black_box(table2::run(&mut RunStore::default(), BENCH_RUNS)))
     });
 
     group.finish();

@@ -19,32 +19,31 @@
 //! * [`channel_loss`] — SAM under a lossy radio.
 
 use crate::report::{Cell, Table};
-use crate::runner::{run_once_configured, RunRecord};
+use crate::runner::{mean_of as mean, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::{RunKey, RunStore};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
 use manet_sim::SimDuration;
 
+/// Records of runs `0..runs` of every `(spec, router, wormhole)` family,
+/// fetched as one batch.
 fn configured_series(
-    spec: &ScenarioSpec,
+    store: &mut RunStore,
+    families: &[(ScenarioSpec, RouterConfig, WormholeConfig)],
     runs: u64,
-    router: &RouterConfig,
-    worm: WormholeConfig,
-) -> Vec<RunRecord> {
-    (0..runs)
-        .map(|i| run_once_configured(spec, i, router, worm).0)
+) -> Vec<Vec<RunRecord>> {
+    store
+        .fetch_series(families, runs, |(spec, router, worm), i| {
+            RunKey::configured(spec, i, router, *worm)
+        })
+        .into_iter()
+        .map(|family| family.iter().map(|run| run.0.clone()).collect())
         .collect()
 }
 
-fn mean(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
-    if records.is_empty() {
-        return 0.0;
-    }
-    records.iter().map(f).sum::<f64>() / records.len() as f64
-}
-
 /// Sweep the destination's collection window.
-pub fn collection_window(runs: u64) -> Table {
+pub fn collection_window(store: &mut RunStore, runs: u64) -> Table {
     let normal = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
     let mut table = Table::new(
@@ -59,18 +58,25 @@ pub fn collection_window(runs: u64) -> Table {
             "separation",
         ],
     );
-    for ms in [2u64, 5, 10, 25, 200] {
-        let mut cfg = RouterConfig::new(ProtocolKind::Mr);
-        cfg.collection_window = SimDuration::from_millis(ms);
-        let n = configured_series(&normal, runs, &cfg, WormholeConfig::default());
-        let a = configured_series(&attacked, runs, &cfg, WormholeConfig::default());
+    let windows = [2u64, 5, 10, 25, 200];
+    let families: Vec<_> = windows
+        .iter()
+        .flat_map(|&ms| {
+            let mut cfg = RouterConfig::new(ProtocolKind::Mr);
+            cfg.collection_window = SimDuration::from_millis(ms);
+            [normal, attacked].map(|spec| (spec, cfg.clone(), WormholeConfig::default()))
+        })
+        .collect();
+    let series = configured_series(store, &families, runs);
+    for (ms, pair) in windows.iter().zip(series.chunks_exact(2)) {
+        let (n, a) = (&pair[0], &pair[1]);
         table.push_row(vec![
-            Cell::Int(ms as i64),
-            Cell::Num(mean(&n, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&n, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Int(*ms as i64),
+            Cell::Num(mean(n, |r| r.n_routes as f64)),
+            Cell::Num(mean(a, |r| r.n_routes as f64)),
+            Cell::Num(mean(n, |r| r.p_max)),
+            Cell::Num(mean(a, |r| r.p_max)),
+            Cell::Num(mean(a, |r| r.p_max) - mean(n, |r| r.p_max)),
         ]);
     }
     table.note("short windows starve SAM of routes; the 200 ms default collects the full flood at ms-scale hop latencies");
@@ -78,30 +84,36 @@ pub fn collection_window(runs: u64) -> Table {
 }
 
 /// Sweep the attack-link length via grid width.
-pub fn tunnel_length(runs: u64) -> Table {
+pub fn tunnel_length(store: &mut RunStore, runs: u64) -> Table {
     let mut table = Table::new(
         "ablation_tunnel_len",
         "Attack-link length vs capture and detectability (uniform grids, MR)",
         vec!["grid cols", "tunnel hops", "%affected", "p_max separation"],
     );
-    for cols in [4usize, 6, 8, 10, 12] {
-        let topology = TopologyKind::Uniform {
-            cols,
-            rows: 6,
-            tier: 1,
-        };
-        let plan = topology.build(0);
-        let span = plan.tunnel_span_hops(0).unwrap_or(0);
-        let normal = ScenarioSpec::normal(topology, ProtocolKind::Mr);
-        let attacked = normal.with_wormholes(1);
-        let cfg = RouterConfig::new(ProtocolKind::Mr);
-        let n = configured_series(&normal, runs, &cfg, WormholeConfig::default());
-        let a = configured_series(&attacked, runs, &cfg, WormholeConfig::default());
+    let widths = [4usize, 6, 8, 10, 12];
+    let topologies = widths.map(|cols| TopologyKind::Uniform {
+        cols,
+        rows: 6,
+        tier: 1,
+    });
+    let cfg = RouterConfig::new(ProtocolKind::Mr);
+    let families: Vec<_> = topologies
+        .iter()
+        .flat_map(|&topology| {
+            let normal = ScenarioSpec::normal(topology, ProtocolKind::Mr);
+            [normal, normal.with_wormholes(1)]
+                .map(|spec| (spec, cfg.clone(), WormholeConfig::default()))
+        })
+        .collect();
+    let series = configured_series(store, &families, runs);
+    for ((cols, topology), pair) in widths.iter().zip(&topologies).zip(series.chunks_exact(2)) {
+        let span = topology.build(0).tunnel_span_hops(0).unwrap_or(0);
+        let (n, a) = (&pair[0], &pair[1]);
         table.push_row(vec![
-            Cell::Int(cols as i64),
+            Cell::Int(*cols as i64),
             Cell::Int(span as i64),
-            Cell::Num(100.0 * mean(&a, |r| r.affected)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Num(100.0 * mean(a, |r| r.affected)),
+            Cell::Num(mean(a, |r| r.p_max) - mean(n, |r| r.p_max)),
         ]);
     }
     table.note("paper: the tunneled link must be long enough for the attack (and hence its signature) to be strong");
@@ -109,7 +121,7 @@ pub fn tunnel_length(runs: u64) -> Table {
 }
 
 /// Participation vs hidden wormhole mode.
-pub fn wormhole_mode(runs: u64) -> Table {
+pub fn wormhole_mode(store: &mut RunStore, runs: u64) -> Table {
     let normal = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
     let cfg = RouterConfig::new(ProtocolKind::Mr);
@@ -118,25 +130,30 @@ pub fn wormhole_mode(runs: u64) -> Table {
         "Wormhole presentation mode vs SAM signature (1-tier cluster, MR)",
         vec!["mode", "routes", "p_max", "Δ", "%affected"],
     );
-    let n = configured_series(&normal, runs, &cfg, WormholeConfig::default());
-    table.push_row(vec![
-        Cell::from("none"),
-        Cell::Num(mean(&n, |r| r.n_routes as f64)),
-        Cell::Num(mean(&n, |r| r.p_max)),
-        Cell::Num(mean(&n, |r| r.delta)),
-        Cell::Num(0.0),
-    ]);
-    for (label, worm) in [
+    let modes = [
         ("participation", WormholeConfig::default()),
         ("hidden", WormholeConfig::hidden()),
-    ] {
-        let a = configured_series(&attacked, runs, &cfg, worm);
+    ];
+    let families: Vec<_> = std::iter::once((normal, WormholeConfig::default()))
+        .chain(modes.iter().map(|&(_, worm)| (attacked, worm)))
+        .map(|(spec, worm)| (spec, cfg.clone(), worm))
+        .collect();
+    let series = configured_series(store, &families, runs);
+    let n = &series[0];
+    table.push_row(vec![
+        Cell::from("none"),
+        Cell::Num(mean(n, |r| r.n_routes as f64)),
+        Cell::Num(mean(n, |r| r.p_max)),
+        Cell::Num(mean(n, |r| r.delta)),
+        Cell::Num(0.0),
+    ]);
+    for ((label, _), a) in modes.iter().zip(&series[1..]) {
         table.push_row(vec![
-            Cell::from(label),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.p_max)),
-            Cell::Num(mean(&a, |r| r.delta)),
-            Cell::Num(100.0 * mean(&a, |r| r.affected)),
+            Cell::from(*label),
+            Cell::Num(mean(a, |r| r.n_routes as f64)),
+            Cell::Num(mean(a, |r| r.p_max)),
+            Cell::Num(mean(a, |r| r.delta)),
+            Cell::Num(100.0 * mean(a, |r| r.affected)),
         ]);
     }
     table.note("hidden mode keeps the attackers off the routes (%affected counts the literal attacker link, so it reads 0)");
@@ -145,7 +162,7 @@ pub fn wormhole_mode(runs: u64) -> Table {
 }
 
 /// Route-material comparison across duplicate-forwarding rules.
-pub fn protocol_rule(runs: u64) -> Table {
+pub fn protocol_rule(store: &mut RunStore, runs: u64) -> Table {
     let mut table = Table::new(
         "ablation_protocol_rule",
         "Duplicate-forwarding rule vs route material and SAM separation (1-tier cluster)",
@@ -156,22 +173,29 @@ pub fn protocol_rule(runs: u64) -> Table {
             "p_max separation",
         ],
     );
-    for protocol in [
+    let protocols = [
         ProtocolKind::Dsr,
         ProtocolKind::Aomdv,
         ProtocolKind::Smr,
         ProtocolKind::Mr,
-    ] {
-        let normal = ScenarioSpec::normal(TopologyKind::cluster1(), protocol);
-        let attacked = normal.with_wormholes(1);
-        let cfg = RouterConfig::new(protocol);
-        let n = configured_series(&normal, runs, &cfg, WormholeConfig::default());
-        let a = configured_series(&attacked, runs, &cfg, WormholeConfig::default());
+    ];
+    let families: Vec<_> = protocols
+        .iter()
+        .flat_map(|&protocol| {
+            let normal = ScenarioSpec::normal(TopologyKind::cluster1(), protocol);
+            let cfg = RouterConfig::new(protocol);
+            [normal, normal.with_wormholes(1)]
+                .map(|spec| (spec, cfg.clone(), WormholeConfig::default()))
+        })
+        .collect();
+    let series = configured_series(store, &families, runs);
+    for (protocol, pair) in protocols.iter().zip(series.chunks_exact(2)) {
+        let (n, a) = (&pair[0], &pair[1]);
         table.push_row(vec![
             Cell::from(protocol.label()),
-            Cell::Num(mean(&a, |r| r.n_routes as f64)),
-            Cell::Num(mean(&a, |r| r.overhead as f64)),
-            Cell::Num(mean(&a, |r| r.p_max) - mean(&n, |r| r.p_max)),
+            Cell::Num(mean(a, |r| r.n_routes as f64)),
+            Cell::Num(mean(a, |r| r.overhead as f64)),
+            Cell::Num(mean(a, |r| r.p_max) - mean(n, |r| r.p_max)),
         ]);
     }
     table.note("paper §V: SMR and AOMDV provide more routes for statistical analysis than single-path protocols");
@@ -186,16 +210,29 @@ pub fn protocol_rule(runs: u64) -> Table {
 /// attacker neighbours), so `p_max`/`Δ` barely move — a genuine evasion
 /// of the paper's feature set. The mean route length, however, collapses;
 /// the `use_hop_feature` extension restores detection.
-pub fn hidden_detection(runs: u64) -> Table {
-    use crate::runner::run_once_with_routes;
+pub fn hidden_detection(store: &mut RunStore, runs: u64) -> Table {
     use manet_routing::Route;
     use sam::prelude::*;
 
     let normal = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
-    let training: Vec<Vec<Route>> = (0..runs.max(6))
-        .map(|i| run_once_with_routes(&normal, 1000 + i).1)
+    let cfg = RouterConfig::new(ProtocolKind::Mr);
+    // One batch: the training runs, then `runs` of each evaluated family.
+    let families = [
+        (attacked, WormholeConfig::hidden()),
+        (attacked, WormholeConfig::default()),
+        (normal, WormholeConfig::default()),
+    ];
+    let train_runs = runs.max(6) as usize;
+    let mut keys: Vec<RunKey> = (0..train_runs as u64)
+        .map(|i| RunKey::plain(&normal, 1000 + i))
         .collect();
+    for (spec, worm) in &families {
+        keys.extend((0..runs).map(|i| RunKey::configured(spec, i, &cfg, *worm)));
+    }
+    let fetched = store.fetch(&keys);
+    let (training, evaluated) = fetched.split_at(train_runs);
+    let training: Vec<Vec<Route>> = training.iter().map(|run| run.1.clone()).collect();
     let paper = SamDetector::default();
     let extended = SamDetector::new(SamConfig {
         use_hop_feature: true,
@@ -213,27 +250,19 @@ pub fn hidden_detection(runs: u64) -> Table {
             "alarm% (normal)",
         ],
     );
-    let cfg = RouterConfig::new(ProtocolKind::Mr);
-    let rate = |detector: &SamDetector, spec: &ScenarioSpec, worm: WormholeConfig| -> f64 {
-        let mut hits = 0;
-        for i in 0..runs {
-            let (_, routes) = run_once_configured(spec, i, &cfg, worm);
-            if detector.analyze(&routes, &profile).anomalous {
-                hits += 1;
-            }
-        }
-        100.0 * hits as f64 / runs as f64
-    };
     for (label, det) in [
         ("paper (p_max, Δ)", &paper),
         ("with hop extension", &extended),
     ] {
-        table.push_row(vec![
-            Cell::from(label),
-            Cell::Num(rate(det, &attacked, WormholeConfig::hidden())),
-            Cell::Num(rate(det, &attacked, WormholeConfig::default())),
-            Cell::Num(rate(det, &normal, WormholeConfig::default())),
-        ]);
+        let mut row = vec![Cell::from(label)];
+        for f in 0..families.len() {
+            let hits = evaluated[f * runs as usize..][..runs as usize]
+                .iter()
+                .filter(|run| det.analyze(&run.1, &profile).anomalous)
+                .count();
+            row.push(Cell::Num(100.0 * hits as f64 / runs as f64));
+        }
+        table.push_row(row);
     }
     table.note("finding: verbatim-replay wormholes dilute the link signature across neighbour pairs and evade the paper's features; route-length statistics close the gap");
     table
@@ -247,8 +276,7 @@ pub fn hidden_detection(runs: u64) -> Table {
 /// evaluation discovery runs on a *perturbed* copy of the topology
 /// (every node jittered ±radius per axis), while the profile was trained
 /// on the nominal placement.
-pub fn mobility(runs: u64) -> Table {
-    use crate::runner::run_once_with_routes;
+pub fn mobility(store: &mut RunStore, runs: u64) -> Table {
     use crate::scenario::{derive_seed, draw_endpoints};
     use manet_attacks::prelude::*;
     use manet_routing::prelude::*;
@@ -257,8 +285,13 @@ pub fn mobility(runs: u64) -> Table {
     let base = TopologyKind::cluster1().build(0);
     let detector = SamDetector::default();
     let spec_n = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&spec_n, 1000 + i).1)
+    let training: Vec<Vec<Route>> = store
+        .fetch_series(&[spec_n], runs.max(8), |spec, i| {
+            RunKey::plain(spec, 1000 + i)
+        })
+        .remove(0)
+        .iter()
+        .map(|run| run.1.clone())
         .collect();
     let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
@@ -273,35 +306,50 @@ pub fn mobility(runs: u64) -> Table {
             "p_max attack",
         ],
     );
-    for radius in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
+    let radii = [0.0f64, 0.05, 0.1, 0.2, 0.3];
+    // (radius, run, attacked) → (p_max, anomalous), normal before
+    // attacked within a run.
+    let items: Vec<(f64, u64, bool)> = radii
+        .iter()
+        .flat_map(|&radius| {
+            (0..runs).flat_map(move |i| [false, true].map(|attacked| (radius, i, attacked)))
+        })
+        .collect();
+    let analyzed = store.map(&items, |&(radius, i, attacked)| {
+        let seed = derive_seed(0xD21F7, i);
+        let plan = base
+            .perturbed(radius, seed)
+            .expect("cluster stays connected at these radii");
+        let (src, dst) = draw_endpoints(&plan, seed);
+        let wiring = if attacked {
+            AttackWiring::all_pairs(&plan, WormholeConfig::default())
+        } else {
+            AttackWiring::none()
+        };
+        let out = run_attacked_discovery(&plan, ProtocolKind::Mr, &wiring, src, dst, seed);
+        let a = detector.analyze(&out.routes, &profile);
+        (a.features.p_max, a.anomalous)
+    });
+    let n = runs as usize;
+    for (k, radius) in radii.iter().enumerate() {
+        let per_radius = &analyzed[2 * k * n..][..2 * n];
         let mut detect = 0u64;
         let mut alarm = 0u64;
         let mut p_n = 0.0;
         let mut p_a = 0.0;
-        for i in 0..runs {
-            let seed = derive_seed(0xD21F7, i);
-            let plan = base
-                .perturbed(radius, seed)
-                .expect("cluster stays connected at these radii");
-            let (src, dst) = draw_endpoints(&plan, seed);
-            for (attacked, hit, p_acc) in
-                [(false, &mut alarm, &mut p_n), (true, &mut detect, &mut p_a)]
-            {
-                let wiring = if attacked {
-                    AttackWiring::all_pairs(&plan, WormholeConfig::default())
-                } else {
-                    AttackWiring::none()
-                };
-                let out = run_attacked_discovery(&plan, ProtocolKind::Mr, &wiring, src, dst, seed);
-                let a = detector.analyze(&out.routes, &profile);
-                *p_acc += a.features.p_max;
-                if a.anomalous {
+        for pair in per_radius.chunks_exact(2) {
+            for ((p_max, anomalous), hit, p_acc) in [
+                (pair[0], &mut alarm, &mut p_n),
+                (pair[1], &mut detect, &mut p_a),
+            ] {
+                *p_acc += p_max;
+                if anomalous {
                     *hit += 1;
                 }
             }
         }
         table.push_row(vec![
-            Cell::Num(radius),
+            Cell::Num(*radius),
             Cell::Num(100.0 * detect as f64 / runs as f64),
             Cell::Num(100.0 * alarm as f64 / runs as f64),
             Cell::Num(p_n / runs as f64),
@@ -321,7 +369,7 @@ pub fn mobility(runs: u64) -> Table {
 /// the protocol but transmits without backoff, capturing the
 /// first-arrival races. This ablation measures how much of the route set
 /// it captures and whether `p_max` moves.
-pub fn rushing(runs: u64) -> Table {
+pub fn rushing(store: &mut RunStore, runs: u64) -> Table {
     use crate::scenario::{derive_seed, draw_endpoints};
     use manet_attacks::prelude::*;
     use manet_sim::prelude::*;
@@ -340,23 +388,42 @@ pub fn rushing(runs: u64) -> Table {
             "DSR p_max",
         ],
     );
-    for scale in [1.0f64, 0.5, 0.2, 0.05] {
-        let mut row = vec![Cell::Num(scale)];
-        for protocol in [ProtocolKind::Mr, ProtocolKind::Dsr] {
+    let scales = [1.0f64, 0.5, 0.2, 0.05];
+    let protocols = [ProtocolKind::Mr, ProtocolKind::Dsr];
+    // (scale, protocol, run) → (share via the rusher, p_max).
+    let items: Vec<(f64, ProtocolKind, u64)> = scales
+        .iter()
+        .flat_map(|&scale| {
+            protocols
+                .iter()
+                .flat_map(move |&protocol| (0..runs).map(move |i| (scale, protocol, i)))
+        })
+        .collect();
+    let measured = store.map(&items, |&(scale, protocol, i)| {
+        let seed = derive_seed(0x0815, i);
+        let (src, dst) = draw_endpoints(&plan, seed.wrapping_add(i));
+        let wiring = if (scale - 1.0).abs() < f64::EPSILON {
+            AttackWiring::none()
+        } else {
+            AttackWiring::none().with_rusher(rusher, scale)
+        };
+        let out = run_attacked_discovery(&plan, protocol, &wiring, src, dst, seed);
+        let through = out.routes.iter().filter(|r| r.contains(rusher)).count();
+        (
+            through as f64 / out.routes.len().max(1) as f64,
+            LinkStats::from_routes(&out.routes).p_max(),
+        )
+    });
+    let n = runs as usize;
+    for (k, scale) in scales.iter().enumerate() {
+        let mut row = vec![Cell::Num(*scale)];
+        for j in 0..protocols.len() {
+            let per_protocol = &measured[(k * protocols.len() + j) * n..][..n];
             let mut share = 0.0;
             let mut p = 0.0;
-            for i in 0..runs {
-                let seed = derive_seed(0x0815, i);
-                let (src, dst) = draw_endpoints(&plan, seed.wrapping_add(i));
-                let wiring = if (scale - 1.0).abs() < f64::EPSILON {
-                    AttackWiring::none()
-                } else {
-                    AttackWiring::none().with_rusher(rusher, scale)
-                };
-                let out = run_attacked_discovery(&plan, protocol, &wiring, src, dst, seed);
-                let through = out.routes.iter().filter(|r| r.contains(rusher)).count();
-                share += through as f64 / out.routes.len().max(1) as f64;
-                p += LinkStats::from_routes(&out.routes).p_max();
+            for &(s, p_max) in per_protocol {
+                share += s;
+                p += p_max;
             }
             row.push(Cell::Num(100.0 * share / runs as f64));
             row.push(Cell::Num(p / runs as f64));
@@ -370,16 +437,26 @@ pub fn rushing(runs: u64) -> Table {
 
 /// Detection-threshold sweep: the ROC-style tradeoff behind the default
 /// z-threshold of 3.
-pub fn threshold_sweep(runs: u64) -> Table {
-    use crate::runner::run_once_with_routes;
+pub fn threshold_sweep(store: &mut RunStore, runs: u64) -> Table {
     use manet_routing::Route;
     use sam::prelude::*;
 
     let normal = ScenarioSpec::normal(TopologyKind::uniform10x6(), ProtocolKind::Mr);
     let attacked = normal.with_wormholes(1);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_with_routes(&normal, 1000 + i).1)
+    // One batch: training runs, then the normal and attacked runs.
+    let train_runs = runs.max(8) as usize;
+    let keys: Vec<RunKey> = (0..train_runs as u64)
+        .map(|i| RunKey::plain(&normal, 1000 + i))
+        .chain(
+            [normal, attacked]
+                .iter()
+                .flat_map(|spec| (0..runs).map(|i| RunKey::plain(spec, i))),
+        )
         .collect();
+    let fetched = store.fetch(&keys);
+    let (training, evaluated) = fetched.split_at(train_runs);
+    let (normal_runs, attacked_runs) = evaluated.split_at(runs as usize);
+    let training: Vec<Vec<Route>> = training.iter().map(|run| run.1.clone()).collect();
     let profile = NormalProfile::train(&training, SamConfig::default().pmf_bins);
 
     // Evaluate once, score under every threshold.
@@ -390,12 +467,8 @@ pub fn threshold_sweep(runs: u64) -> Table {
             .z(stats.p_max())
             .max(profile.delta.z(stats.delta()))
     };
-    let normal_z: Vec<f64> = (0..runs)
-        .map(|i| z_of(&run_once_with_routes(&normal, i).1))
-        .collect();
-    let attacked_z: Vec<f64> = (0..runs)
-        .map(|i| z_of(&run_once_with_routes(&attacked, i).1))
-        .collect();
+    let normal_z: Vec<f64> = normal_runs.iter().map(|run| z_of(&run.1)).collect();
+    let attacked_z: Vec<f64> = attacked_runs.iter().map(|run| z_of(&run.1)).collect();
 
     let mut table = Table::new(
         "ablation_threshold",
@@ -422,7 +495,7 @@ pub fn threshold_sweep(runs: u64) -> Table {
 /// loss probability and measures capture and separation. (Training and
 /// evaluation both run at the same loss rate — the profile is trained in
 /// the deployment's own conditions, as the paper prescribes.)
-pub fn channel_loss(runs: u64) -> Table {
+pub fn channel_loss(store: &mut RunStore, runs: u64) -> Table {
     use crate::scenario::{derive_seed, draw_endpoints};
     use manet_attacks::prelude::*;
     use manet_sim::prelude::*;
@@ -440,41 +513,60 @@ pub fn channel_loss(runs: u64) -> Table {
             "p_max attack",
         ],
     );
-    for loss in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
+    let losses = [0.0f64, 0.05, 0.1, 0.2, 0.3];
+    // (loss, run, attacked) → (routes, affected fraction, p_max), normal
+    // before attacked within a run.
+    let items: Vec<(f64, u64, bool)> = losses
+        .iter()
+        .flat_map(|&loss| {
+            (0..runs).flat_map(move |i| [false, true].map(|attacked| (loss, i, attacked)))
+        })
+        .collect();
+    let measured = store.map(&items, |&(loss, i, attacked)| {
+        let seed = derive_seed(0x1055, i);
+        let (src, dst) = draw_endpoints(&plan, seed);
+        let wiring = if attacked {
+            AttackWiring::all_pairs(&plan, WormholeConfig::default())
+        } else {
+            AttackWiring::none()
+        };
+        let mut session = attack_session(
+            &plan,
+            RouterConfig::new(ProtocolKind::Mr),
+            &wiring,
+            LatencyModel::default(),
+            seed,
+        );
+        session.set_loss_prob(loss);
+        let out = session.discover(src, dst, manet_routing::DEFAULT_MAX_WAIT);
+        let affected = if attacked {
+            affected_fraction(&out.routes, plan.attacker_pairs[0])
+        } else {
+            0.0
+        };
+        (
+            out.routes.len() as f64,
+            affected,
+            LinkStats::from_routes(&out.routes).p_max(),
+        )
+    });
+    let n = runs as usize;
+    for (k, loss) in losses.iter().enumerate() {
+        let per_loss = &measured[2 * k * n..][..2 * n];
         let mut routes_a = 0.0;
         let mut affected = 0.0;
         let mut p_n = 0.0;
         let mut p_a = 0.0;
-        for i in 0..runs {
-            let seed = derive_seed(0x1055, i);
-            let (src, dst) = draw_endpoints(&plan, seed);
-            for attacked in [false, true] {
-                let wiring = if attacked {
-                    AttackWiring::all_pairs(&plan, WormholeConfig::default())
-                } else {
-                    AttackWiring::none()
-                };
-                let mut session = attack_session(
-                    &plan,
-                    manet_routing::RouterConfig::new(ProtocolKind::Mr),
-                    &wiring,
-                    LatencyModel::default(),
-                    seed,
-                );
-                session.set_loss_prob(loss);
-                let out = session.discover(src, dst, manet_routing::DEFAULT_MAX_WAIT);
-                let stats = LinkStats::from_routes(&out.routes);
-                if attacked {
-                    routes_a += out.routes.len() as f64;
-                    affected += affected_fraction(&out.routes, plan.attacker_pairs[0]);
-                    p_a += stats.p_max();
-                } else {
-                    p_n += stats.p_max();
-                }
-            }
+        for pair in per_loss.chunks_exact(2) {
+            let (_, _, p_normal) = pair[0];
+            let (routes, aff, p_attack) = pair[1];
+            p_n += p_normal;
+            routes_a += routes;
+            affected += aff;
+            p_a += p_attack;
         }
         table.push_row(vec![
-            Cell::Num(loss),
+            Cell::Num(*loss),
             Cell::Num(routes_a / runs as f64),
             Cell::Num(100.0 * affected / runs as f64),
             Cell::Num(p_n / runs as f64),
@@ -486,17 +578,17 @@ pub fn channel_loss(runs: u64) -> Table {
 }
 
 /// All nine ablations.
-pub fn run_all(runs: u64) -> Vec<Table> {
+pub fn run_all(store: &mut RunStore, runs: u64) -> Vec<Table> {
     vec![
-        collection_window(runs),
-        tunnel_length(runs),
-        wormhole_mode(runs),
-        protocol_rule(runs),
-        hidden_detection(runs),
-        mobility(runs),
-        rushing(runs),
-        threshold_sweep(runs),
-        channel_loss(runs),
+        collection_window(store, runs),
+        tunnel_length(store, runs),
+        wormhole_mode(store, runs),
+        protocol_rule(store, runs),
+        hidden_detection(store, runs),
+        mobility(store, runs),
+        rushing(store, runs),
+        threshold_sweep(store, runs),
+        channel_loss(store, runs),
     ]
 }
 
@@ -514,7 +606,7 @@ mod tests {
 
     #[test]
     fn longer_windows_collect_at_least_as_many_routes() {
-        let t = collection_window(2);
+        let t = collection_window(&mut RunStore::default(), 2);
         let first = num(&t.rows[0][2]);
         let last = num(&t.rows[t.rows.len() - 1][2]);
         assert!(last >= first, "routes: {first} → {last}");
@@ -522,7 +614,7 @@ mod tests {
 
     #[test]
     fn longer_tunnels_capture_more() {
-        let t = tunnel_length(2);
+        let t = tunnel_length(&mut RunStore::default(), 2);
         let first = num(&t.rows[0][2]);
         let last = num(&t.rows[t.rows.len() - 1][2]);
         assert!(
@@ -533,7 +625,7 @@ mod tests {
 
     #[test]
     fn hidden_mode_still_spikes_p_max() {
-        let t = wormhole_mode(2);
+        let t = wormhole_mode(&mut RunStore::default(), 2);
         let p_none = num(&t.rows[0][2]);
         let p_hidden = num(&t.rows[2][2]);
         assert!(
@@ -544,7 +636,7 @@ mod tests {
 
     #[test]
     fn multipath_rules_collect_more_routes_than_dsr() {
-        let t = protocol_rule(2);
+        let t = protocol_rule(&mut RunStore::default(), 2);
         let dsr_routes = num(&t.rows[0][1]);
         let mr_routes = num(&t.rows[3][1]);
         assert!(mr_routes > dsr_routes);

@@ -9,6 +9,11 @@
 //! With no ids, every experiment runs. Each produces an ASCII table on
 //! stdout and `<DIR>/<id>.json` + `<DIR>/<id>.txt` (default `results/`).
 //!
+//! The experiments share one run store: `--jobs N` worker threads
+//! simulate each experiment's runs in parallel batches, and a run that
+//! several experiments need is simulated once. Output is identical
+//! whatever `N` is.
+//!
 //! `--telemetry FILE` installs the process-global [`sam_telemetry`]
 //! context: every experiment and every simulated run emits a span, the
 //! stream plus a final registry snapshot land in `FILE` as JSONL, and a
@@ -24,8 +29,10 @@
 //! snapshot) for CI trend tracking.
 
 use sam_experiments::flight::{record_flight, FlightOptions};
+use sam_experiments::runner::default_jobs;
 use sam_experiments::scenario::{ScenarioSpec, TopologyKind};
-use sam_experiments::{run_experiment, ALL_IDS};
+use sam_experiments::store::RunStore;
+use sam_experiments::{run_experiment_in, ALL_IDS};
 use sam_telemetry::{report::write_jsonl, BenchReport, Telemetry, TelemetryReport};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -54,7 +61,7 @@ enum Parsed {
 
 fn parse_args() -> Parsed {
     let mut runs = 10u64;
-    let mut jobs = 0usize; // 0 = one worker per available core
+    let mut jobs = default_jobs();
     let mut out = PathBuf::from("results");
     let mut telemetry = None;
     let mut flight = None;
@@ -70,8 +77,8 @@ fn parse_args() -> Parsed {
                     return Parsed::Error("--runs needs a value".into());
                 };
                 match v.parse() {
-                    Ok(n) => runs = n,
-                    Err(_) => return Parsed::Error(format!("bad --runs value: {v}")),
+                    Ok(n) if n >= 1 => runs = n,
+                    _ => return Parsed::Error(format!("bad --runs value: {v} (need >= 1)")),
                 }
             }
             "--jobs" => {
@@ -126,7 +133,9 @@ fn parse_args() -> Parsed {
                 return Parsed::Info(format!(
                     "usage: reproduce [--runs N] [--jobs N] [--out DIR] [--telemetry FILE] \
                      [--flight FILE] [--bench FILE] [--list] [ID ...]\n  \
-                     --jobs N: simulation worker threads (default: available cores)\n  \
+                     --runs N: runs per series, N >= 1 (default: 10)\n  \
+                     --jobs N: simulation worker threads, shared by every experiment \
+                     (default: available cores)\n  \
                      --telemetry FILE: write spans + metrics snapshot to FILE as JSONL\n  \
                      --flight FILE: record an explained 2-cluster wormhole run to FILE\n  \
                      --bench FILE: write a wall-time + counters bench report to FILE\n  \
@@ -177,9 +186,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.jobs > 0 {
-        sam_experiments::runner::set_global_jobs(args.jobs);
-    }
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("cannot create {}: {e}", args.out.display());
         return ExitCode::FAILURE;
@@ -192,6 +198,9 @@ fn main() -> ExitCode {
         tel
     });
     let started = std::time::Instant::now();
+    // One store for the whole suite: a run several experiments share is
+    // simulated once.
+    let mut store = RunStore::new(args.jobs);
 
     let mut failed = false;
     for id in &args.ids {
@@ -204,7 +213,7 @@ fn main() -> ExitCode {
         // The robustness sweep is computed once; its typed report feeds
         // both the tables and (when asked) BENCH_robustness.json.
         let tables = if id == "robustness" {
-            let report = sam_experiments::robustness::compute(args.runs);
+            let report = sam_experiments::robustness::compute(&mut store, args.runs);
             if let Some(path) = &args.robustness_bench {
                 match std::fs::write(path, report.to_json()) {
                     Ok(()) => println!(
@@ -222,7 +231,7 @@ fn main() -> ExitCode {
         } else if id == "roc" {
             // Same compute-once shape: the ROC sweep feeds its table and
             // (when asked) BENCH_roc.json.
-            let report = sam_experiments::roc::compute(args.runs);
+            let report = sam_experiments::roc::compute(&mut store, args.runs);
             if let Some(path) = &args.roc_bench {
                 match std::fs::write(path, report.to_json()) {
                     Ok(()) => println!(
@@ -238,7 +247,7 @@ fn main() -> ExitCode {
             }
             Some(sam_experiments::roc::tables(&report))
         } else {
-            run_experiment(id, args.runs)
+            run_experiment_in(&mut store, id, args.runs)
         };
         let Some(tables) = tables else {
             eprintln!(

@@ -11,8 +11,9 @@
 //! *confirmed* false-positive rate.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_with_routes};
+use crate::runner::build_plan;
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
+use crate::store::{RunKey, RunStore};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
@@ -102,34 +103,73 @@ fn lambda_of(outcome: &DetectionOutcome) -> f64 {
     }
 }
 
-/// Evaluate one topology/protocol configuration.
+/// Evaluate topology/protocol configurations, one quality per config.
+///
+/// Two batches: the training runs of every configuration, then the
+/// probed evaluation runs, which need the trained profiles.
 pub fn evaluate(
-    topology: TopologyKind,
-    protocol: ProtocolKind,
+    store: &mut RunStore,
+    configs: &[(TopologyKind, ProtocolKind)],
     train_runs: u64,
     eval_runs: u64,
-) -> DetectionQuality {
-    let normal = ScenarioSpec::normal(topology, protocol);
-    let attacked = normal.with_wormholes(1);
+) -> Vec<DetectionQuality> {
+    let normals: Vec<ScenarioSpec> = configs
+        .iter()
+        .map(|&(topology, protocol)| ScenarioSpec::normal(topology, protocol))
+        .collect();
 
     // Train on normal discoveries with disjoint run indices.
-    let training: Vec<Vec<Route>> = (0..train_runs)
-        .map(|i| run_once_with_routes(&normal, TRAIN_OFFSET + i).1)
-        .collect();
+    let training = store.fetch_series(&normals, train_runs, |normal, i| {
+        RunKey::plain(normal, TRAIN_OFFSET + i)
+    });
     // At this training scale (≈10 sets, the paper's series length) the
     // profile σ is a noisy small-sample estimate, so the library's 3σ
     // default under-fires; the calibrated 2.5σ keeps a wide margin above
     // normal traffic (z ≲ 1 here) while catching attacked sets
     // (z ≈ 2.8+).
     let detector = SamDetector::new(SamConfig::calibrated());
-    let profile = NormalProfile::train(&training, detector.config().pmf_bins);
+    let profiles: Vec<NormalProfile> = training
+        .iter()
+        .map(|runs| {
+            let sets: Vec<Vec<Route>> = runs.iter().map(|run| run.1.clone()).collect();
+            NormalProfile::train(&sets, detector.config().pmf_bins)
+        })
+        .collect();
 
+    // Per configuration: `eval_runs` normal then `eval_runs` attacked.
+    let probes: Vec<(usize, ScenarioSpec, u64)> = normals
+        .iter()
+        .enumerate()
+        .flat_map(|(c, normal)| {
+            [*normal, normal.with_wormholes(1)]
+                .into_iter()
+                .flat_map(move |spec| (0..eval_runs).map(move |i| (c, spec, i)))
+        })
+        .collect();
+    let outcomes = store.map(&probes, |&(c, spec, i)| {
+        procedure_run(&spec, i, &profiles[c], &detector)
+    });
+    let n = eval_runs as usize;
+    (0..configs.len())
+        .map(|c| {
+            let normal = &outcomes[2 * c * n..][..n];
+            let attacked = &outcomes[(2 * c + 1) * n..][..n];
+            fold_quality(normal, attacked, eval_runs)
+        })
+        .collect()
+}
+
+/// Fold one configuration's probed runs, in run order.
+fn fold_quality(
+    normal: &[(DetectionOutcome, NetworkPlan)],
+    attacked: &[(DetectionOutcome, NetworkPlan)],
+    eval_runs: u64,
+) -> DetectionQuality {
     let mut step1_fp = 0usize;
     let mut confirmed_fp = 0usize;
     let mut lambda_normal = 0.0;
-    for i in 0..eval_runs {
-        let (outcome, _) = procedure_run(&normal, i, &profile, &detector);
-        lambda_normal += lambda_of(&outcome);
+    for (outcome, _) in normal {
+        lambda_normal += lambda_of(outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}
             DetectionOutcome::SuspiciousUnconfirmed { .. } => step1_fp += 1,
@@ -144,9 +184,8 @@ pub fn evaluate(
     let mut confirmed = 0usize;
     let mut localized = 0usize;
     let mut lambda_attacked = 0.0;
-    for i in 0..eval_runs {
-        let (outcome, plan) = procedure_run(&attacked, i, &profile, &detector);
-        lambda_attacked += lambda_of(&outcome);
+    for (outcome, plan) in attacked {
+        lambda_attacked += lambda_of(outcome);
         match outcome {
             DetectionOutcome::Normal { .. } => {}
             DetectionOutcome::SuspiciousUnconfirmed { .. } => step1_hits += 1,
@@ -177,7 +216,7 @@ pub fn evaluate(
 }
 
 /// Run the experiment over the paper's main configurations.
-pub fn run(runs: u64) -> Table {
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
     let configs = [
         (TopologyKind::cluster1(), ProtocolKind::Mr),
         (TopologyKind::cluster2(), ProtocolKind::Mr),
@@ -199,8 +238,7 @@ pub fn run(runs: u64) -> Table {
             "localize%",
         ],
     );
-    for (topology, protocol) in configs {
-        let q = evaluate(topology, protocol, runs, runs);
+    for ((topology, protocol), q) in configs.iter().zip(evaluate(store, &configs, runs, runs)) {
         table.push_row(vec![
             Cell::Str(format!("{} {}", topology.label(), protocol.label())),
             Cell::Num(100.0 * q.step1_detection_rate),
@@ -221,9 +259,14 @@ pub fn run(runs: u64) -> Table {
 mod tests {
     use super::*;
 
+    fn cluster_mr() -> DetectionQuality {
+        let configs = [(TopologyKind::cluster1(), ProtocolKind::Mr)];
+        evaluate(&mut RunStore::default(), &configs, 8, 4)[0]
+    }
+
     #[test]
     fn cluster_mr_detects_and_confirms_reliably() {
-        let q = evaluate(TopologyKind::cluster1(), ProtocolKind::Mr, 8, 4);
+        let q = cluster_mr();
         assert!(
             q.step1_detection_rate >= 0.75,
             "step-1 detection rate {}",
@@ -244,7 +287,7 @@ mod tests {
 
     #[test]
     fn localization_names_a_real_attacker_in_cluster() {
-        let q = evaluate(TopologyKind::cluster1(), ProtocolKind::Mr, 8, 4);
+        let q = cluster_mr();
         assert!(
             q.localization_accuracy >= 0.75,
             "localization {}",

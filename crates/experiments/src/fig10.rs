@@ -7,15 +7,12 @@
 use crate::report::Table;
 use crate::scenario::TopologyKind;
 use crate::series::{feature_table, PairedSeries};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let series = vec![PairedSeries::collect_one_wormhole(
-        TopologyKind::Random,
-        ProtocolKind::Mr,
-        runs,
-    )];
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let series = PairedSeries::collect(store, &[(TopologyKind::Random, ProtocolKind::Mr)], runs);
     let mut t = feature_table(
         "fig10",
         "p_max of networks with random topology using MR (normal vs wormhole attack)",
@@ -42,7 +39,8 @@ mod tests {
 
     #[test]
     fn random_topologies_separate_p_max() {
-        let s = PairedSeries::collect_one_wormhole(TopologyKind::Random, ProtocolKind::Mr, 4);
+        let configs = [(TopologyKind::Random, ProtocolKind::Mr)];
+        let s = PairedSeries::collect(&mut RunStore::default(), &configs, 4).remove(0);
         assert!(
             s.separation(|r| r.p_max) > 0.0,
             "separation {}",

@@ -8,19 +8,21 @@
 use crate::report::Table;
 use crate::scenario::TopologyKind;
 use crate::series::{feature_table, PairedSeries};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// The two range configurations.
-pub fn series(runs: u64) -> Vec<PairedSeries> {
-    vec![
-        PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, runs),
-        PairedSeries::collect_one_wormhole(TopologyKind::cluster2(), ProtocolKind::Mr, runs),
-    ]
+pub fn series(store: &mut RunStore, runs: u64) -> Vec<PairedSeries> {
+    let configs = [
+        (TopologyKind::cluster1(), ProtocolKind::Mr),
+        (TopologyKind::cluster2(), ProtocolKind::Mr),
+    ];
+    PairedSeries::collect(store, &configs, runs)
 }
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let s = series(runs);
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let s = series(store, runs);
     let mut t = feature_table(
         "fig11",
         "p_max of cluster systems with different transmission range (MR)",
@@ -41,7 +43,7 @@ mod tests {
 
     #[test]
     fn both_tiers_separate_p_max() {
-        for s in series(3) {
+        for s in series(&mut RunStore::default(), 3) {
             assert!(
                 s.separation(|r| r.p_max) > 0.0,
                 "{}: separation {}",

@@ -9,19 +9,21 @@
 use crate::report::Table;
 use crate::scenario::TopologyKind;
 use crate::series::{feature_table, PairedSeries};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// The two protocol configurations on the 1-tier cluster.
-pub fn series(runs: u64) -> Vec<PairedSeries> {
-    vec![
-        PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, runs),
-        PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Dsr, runs),
-    ]
+pub fn series(store: &mut RunStore, runs: u64) -> Vec<PairedSeries> {
+    let configs = [
+        (TopologyKind::cluster1(), ProtocolKind::Mr),
+        (TopologyKind::cluster1(), ProtocolKind::Dsr),
+    ];
+    PairedSeries::collect(store, &configs, runs)
 }
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let s = series(runs);
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let s = series(store, runs);
     let mut t = feature_table(
         "fig13",
         "Δ of 1-tier cluster systems with different routing protocols",
@@ -47,7 +49,7 @@ mod tests {
 
     #[test]
     fn dsr_sees_fewer_routes_than_mr() {
-        let s = series(3);
+        let s = series(&mut RunStore::default(), 3);
         assert!(
             s[1].attacked_mean(|r| r.n_routes as f64) < s[0].attacked_mean(|r| r.n_routes as f64),
             "DSR should collect fewer routes"

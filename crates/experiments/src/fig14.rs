@@ -9,10 +9,11 @@
 use crate::fig13::series;
 use crate::report::Table;
 use crate::series::feature_table;
+use crate::store::RunStore;
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let s = series(runs);
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let s = series(store, runs);
     let mut t = feature_table(
         "fig14",
         "p_max of 1-tier cluster systems with different routing protocols",
@@ -38,7 +39,7 @@ mod tests {
 
     #[test]
     fn p_max_separates_for_both_protocols() {
-        for s in series(3) {
+        for s in series(&mut RunStore::default(), 3) {
             assert!(
                 s.separation(|r| r.p_max) > 0.0,
                 "{}: p_max separation {}",

@@ -10,8 +10,9 @@
 //! [`runner::build_plan`](crate::runner::build_plan)).
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_series, RunRecord};
+use crate::runner::{mean_of, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 fn variance(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64 + Copy) -> f64 {
@@ -23,36 +24,36 @@ fn variance(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64 + Copy) -> f64 
 }
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
     let base = ScenarioSpec::normal(TopologyKind::uniform10x6(), ProtocolKind::Mr);
-    let series: Vec<(usize, Vec<RunRecord>)> = (0..=2)
-        .map(|n| (n, run_series(&base.with_wormholes(n), runs)))
-        .collect();
+    let specs = [0, 1, 2].map(|n| base.with_wormholes(n));
+    let [none, one, two] =
+        <[Vec<RunRecord>; 3]>::try_from(store.series(&specs, runs)).expect("one series per spec");
 
     let mut table = Table::new(
         "fig15",
         "p_max of a network under no/one/two wormhole attacks (MR)",
         vec!["run", "no wormhole", "one wormhole", "two wormholes"],
     );
-    for i in 0..runs as usize {
+    for (i, ((n, o), t)) in none.iter().zip(&one).zip(&two).enumerate() {
         table.push_row(vec![
             Cell::Int(i as i64 + 1),
-            Cell::Num(series[0].1[i].p_max),
-            Cell::Num(series[1].1[i].p_max),
-            Cell::Num(series[2].1[i].p_max),
+            Cell::Num(n.p_max),
+            Cell::Num(o.p_max),
+            Cell::Num(t.p_max),
         ]);
     }
     table.push_row(vec![
         Cell::from("avg"),
-        Cell::Num(mean_of(&series[0].1, |r| r.p_max)),
-        Cell::Num(mean_of(&series[1].1, |r| r.p_max)),
-        Cell::Num(mean_of(&series[2].1, |r| r.p_max)),
+        Cell::Num(mean_of(&none, |r| r.p_max)),
+        Cell::Num(mean_of(&one, |r| r.p_max)),
+        Cell::Num(mean_of(&two, |r| r.p_max)),
     ]);
     table.note(format!(
         "p_max variance: none {:.5}, one {:.5}, two {:.5} (paper: variance grows with wormhole count)",
-        variance(&series[0].1, |r| r.p_max),
-        variance(&series[1].1, |r| r.p_max),
-        variance(&series[2].1, |r| r.p_max)
+        variance(&none, |r| r.p_max),
+        variance(&one, |r| r.p_max),
+        variance(&two, |r| r.p_max)
     ));
     table
 }
@@ -64,9 +65,9 @@ mod tests {
     #[test]
     fn any_attack_raises_p_max_over_normal() {
         let base = ScenarioSpec::normal(TopologyKind::uniform10x6(), ProtocolKind::Mr);
-        let none = run_series(&base, 4);
-        let one = run_series(&base.with_wormholes(1), 4);
-        let two = run_series(&base.with_wormholes(2), 4);
+        let specs = [base, base.with_wormholes(1), base.with_wormholes(2)];
+        let [none, one, two] =
+            <[Vec<RunRecord>; 3]>::try_from(RunStore::default().series(&specs, 4)).unwrap();
         let m = |v: &[RunRecord]| mean_of(v, |r| r.p_max);
         assert!(m(&one) > m(&none), "one {} vs none {}", m(&one), m(&none));
         assert!(m(&two) > m(&none), "two {} vs none {}", m(&two), m(&none));

@@ -6,8 +6,8 @@
 //! "locates far apart from other links".
 
 use crate::report::{Cell, Table};
-use crate::runner::run_once_with_routes;
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::{RunKey, RunStore};
 use manet_routing::ProtocolKind;
 use sam::{LinkStats, Pmf};
 
@@ -15,14 +15,17 @@ use sam::{LinkStats, Pmf};
 pub const BINS: usize = 20;
 
 /// Run the experiment: one paired run, PMFs side by side.
-pub fn run(run_idx: u64) -> Table {
+pub fn run(store: &mut RunStore, run_idx: u64) -> Table {
     let normal_spec = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let attacked_spec = ScenarioSpec::attacked(TopologyKind::cluster1(), ProtocolKind::Mr);
-    let (rec_n, routes_n) = run_once_with_routes(&normal_spec, run_idx);
-    let (rec_a, routes_a) = run_once_with_routes(&attacked_spec, run_idx);
+    let pair = store.fetch(&[
+        RunKey::plain(&normal_spec, run_idx),
+        RunKey::plain(&attacked_spec, run_idx),
+    ]);
+    let ((rec_n, routes_n), (rec_a, routes_a)) = (&*pair[0], &*pair[1]);
 
-    let freq_n = LinkStats::from_routes(&routes_n).relative_frequencies();
-    let freq_a = LinkStats::from_routes(&routes_a).relative_frequencies();
+    let freq_n = LinkStats::from_routes(routes_n).relative_frequencies();
+    let freq_a = LinkStats::from_routes(routes_a).relative_frequencies();
     let pmf_n = Pmf::from_samples(BINS, &freq_n);
     let pmf_a = Pmf::from_samples(BINS, &freq_a);
 
@@ -70,8 +73,8 @@ mod tests {
     fn attacked_pmf_reaches_further_right_than_normal() {
         let normal_spec = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
         let attacked_spec = ScenarioSpec::attacked(TopologyKind::cluster1(), ProtocolKind::Mr);
-        let (rec_n, _) = run_once_with_routes(&normal_spec, 1);
-        let (rec_a, _) = run_once_with_routes(&attacked_spec, 1);
+        let (rec_n, _) = crate::runner::run_once_with_routes(&normal_spec, 1);
+        let (rec_a, _) = crate::runner::run_once_with_routes(&attacked_spec, 1);
         assert!(
             rec_a.p_max > rec_n.p_max,
             "attacked p_max {} vs normal {}",
@@ -82,7 +85,7 @@ mod tests {
 
     #[test]
     fn table_renders_with_three_columns() {
-        let t = run(0);
+        let t = run(&mut RunStore::default(), 0);
         assert_eq!(t.columns.len(), 3);
         assert!(!t.rows.is_empty());
         assert!(t.render().contains("normal mass"));

@@ -8,14 +8,19 @@
 use crate::report::Table;
 use crate::scenario::TopologyKind;
 use crate::series::{feature_table, PairedSeries};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let series = vec![
-        PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, runs),
-        PairedSeries::collect_one_wormhole(TopologyKind::uniform6x6(), ProtocolKind::Mr, runs),
-    ];
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let series = PairedSeries::collect(
+        store,
+        &[
+            (TopologyKind::cluster1(), ProtocolKind::Mr),
+            (TopologyKind::uniform6x6(), ProtocolKind::Mr),
+        ],
+        runs,
+    );
     let mut t = feature_table(
         "fig6",
         "p_max of 1-tier networks using MR (normal vs wormhole attack)",
@@ -42,8 +47,8 @@ mod tests {
 
     #[test]
     fn cluster_p_max_separates() {
-        let series =
-            PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, 4);
+        let configs = [(TopologyKind::cluster1(), ProtocolKind::Mr)];
+        let series = PairedSeries::collect(&mut RunStore::default(), &configs, 4).remove(0);
         assert!(
             series.separation(|r| r.p_max) > 0.03,
             "separation {}",

@@ -10,11 +10,13 @@
 use crate::report::{Cell, Table};
 use crate::scenario::TopologyKind;
 use crate::series::PairedSeries;
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let s = PairedSeries::collect_one_wormhole(TopologyKind::uniform10x6(), ProtocolKind::Mr, runs);
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let configs = [(TopologyKind::uniform10x6(), ProtocolKind::Mr)];
+    let s = PairedSeries::collect(store, &configs, runs).remove(0);
     let mut table = Table::new(
         "fig8",
         "p_max and Δ of the 6×10 uniform network with a ~10-hop attack link (MR)",
@@ -72,8 +74,8 @@ mod tests {
 
     #[test]
     fn long_attack_link_separates_p_max_on_uniform_grid() {
-        let s =
-            PairedSeries::collect_one_wormhole(TopologyKind::uniform10x6(), ProtocolKind::Mr, 4);
+        let configs = [(TopologyKind::uniform10x6(), ProtocolKind::Mr)];
+        let s = PairedSeries::collect(&mut RunStore::default(), &configs, 4).remove(0);
         assert!(
             s.separation(|r| r.p_max) > 0.02,
             "p_max separation {}",
@@ -83,10 +85,16 @@ mod tests {
 
     #[test]
     fn long_link_separates_better_than_short_link() {
-        let long =
-            PairedSeries::collect_one_wormhole(TopologyKind::uniform10x6(), ProtocolKind::Mr, 4);
-        let short =
-            PairedSeries::collect_one_wormhole(TopologyKind::uniform6x6(), ProtocolKind::Mr, 4);
+        let configs = [
+            (TopologyKind::uniform10x6(), ProtocolKind::Mr),
+            (TopologyKind::uniform6x6(), ProtocolKind::Mr),
+        ];
+        let [long, short] = <[PairedSeries; 2]>::try_from(PairedSeries::collect(
+            &mut RunStore::default(),
+            &configs,
+            4,
+        ))
+        .unwrap();
         assert!(
             long.separation(|r| r.p_max) > short.separation(|r| r.p_max),
             "long {:.3} vs short {:.3}",

@@ -50,11 +50,13 @@ pub mod runner;
 pub mod scenario;
 pub mod series;
 pub mod serving;
+pub mod store;
 pub mod svg;
 pub mod table1;
 pub mod table2;
 
 use report::Table;
+use store::RunStore;
 
 /// All experiment ids, in paper order.
 pub const ALL_IDS: &[&str] = &[
@@ -78,27 +80,34 @@ pub const ALL_IDS: &[&str] = &[
 ];
 
 /// Run one experiment by id with the given series length (`runs` is
-/// ignored by the single-run artifacts `fig5` and `fig9`). Returns `None`
-/// for an unknown id.
+/// ignored by the single-run artifacts `fig5` and `fig9`), on a fresh
+/// [`RunStore`] with one worker per core. Returns `None` for an unknown
+/// id.
 pub fn run_experiment(id: &str, runs: u64) -> Option<Vec<Table>> {
+    run_experiment_in(&mut RunStore::default(), id, runs)
+}
+
+/// [`run_experiment`] on a caller-held store: runs already in `store`
+/// are reused, and new ones stay there for later experiments.
+pub fn run_experiment_in(store: &mut RunStore, id: &str, runs: u64) -> Option<Vec<Table>> {
     let tables = match id {
-        "table1" => vec![table1::run(runs)],
-        "table2" => vec![table2::run(runs)],
-        "fig5" => vec![fig5::run(0)],
-        "fig6" => vec![fig6::run(runs)],
-        "fig7" => vec![fig7::run(runs)],
-        "fig8" => vec![fig8::run(runs)],
+        "table1" => vec![table1::run(store, runs)],
+        "table2" => vec![table2::run(store, runs)],
+        "fig5" => vec![fig5::run(store, 0)],
+        "fig6" => vec![fig6::run(store, runs)],
+        "fig7" => vec![fig7::run(store, runs)],
+        "fig8" => vec![fig8::run(store, runs)],
         "fig9" => vec![fig9::run(0)],
-        "fig10" => vec![fig10::run(runs)],
-        "fig11" => vec![fig11::run(runs)],
-        "fig12" => vec![fig12::run(runs)],
-        "fig13" => vec![fig13::run(runs)],
-        "fig14" => vec![fig14::run(runs)],
-        "fig15" => vec![fig15::run(runs)],
-        "detection" => vec![detection::run(runs)],
-        "ablations" => ablations::run_all(runs),
-        "robustness" => robustness::run(runs),
-        "roc" => roc::run(runs),
+        "fig10" => vec![fig10::run(store, runs)],
+        "fig11" => vec![fig11::run(store, runs)],
+        "fig12" => vec![fig12::run(store, runs)],
+        "fig13" => vec![fig13::run(store, runs)],
+        "fig14" => vec![fig14::run(store, runs)],
+        "fig15" => vec![fig15::run(store, runs)],
+        "detection" => vec![detection::run(store, runs)],
+        "ablations" => ablations::run_all(store, runs),
+        "robustness" => robustness::run(store, runs),
+        "roc" => roc::run(store, runs),
         _ => return None,
     };
     Some(tables)
@@ -112,12 +121,13 @@ pub mod prelude {
     pub use crate::roc::{RocCurve, RocHeadline, RocPoint, RocReport};
     pub use crate::runner::{
         build_plan, default_jobs, mean_of, run_once, run_once_configured, run_once_faulted,
-        run_once_with_routes, run_series, run_series_jobs, set_global_jobs, RunRecord, PAPER_RUNS,
+        run_once_with_routes, run_series, RunRecord, PAPER_RUNS,
     };
     pub use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
     pub use crate::series::{feature_table, PairedSeries};
+    pub use crate::store::{Run, RunKey, RunStore};
     pub use crate::svg::chart as svg_chart;
-    pub use crate::{run_experiment, ALL_IDS};
+    pub use crate::{run_experiment, run_experiment_in, ALL_IDS};
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //! (`BENCH_robustness.json`) for CI trend tracking.
 
 use crate::report::{Cell, Table};
-use crate::runner::run_once_faulted;
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::{Run, RunKey, RunStore};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use sam::prelude::*;
@@ -105,33 +105,28 @@ fn churn_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![("crash", crash), ("crash+recover", crash_recover)]
 }
 
-/// Measure one operating point: `runs` attacked + `runs` normal
-/// discoveries under `plan`, scored by step-1 analysis against
-/// `profile`.
+/// Score one operating point's runs, `(attacked, normal)` per run in
+/// run order, by step-1 analysis against `profile`: detection rate,
+/// false-positive rate and the mean route counts.
 fn measure_point(
-    normal: &ScenarioSpec,
-    attacked: &ScenarioSpec,
-    worm_cfg: WormholeConfig,
-    plan: &FaultPlan,
+    pairs: &[Run],
     profile: &NormalProfile,
     detector: &SamDetector,
     runs: u64,
 ) -> (f64, f64, f64, f64) {
-    let cfg = RouterConfig::new(attacked.protocol);
-    let faults = (!plan.is_inert()).then_some(plan);
     let mut detected = 0u64;
     let mut false_pos = 0u64;
     let mut routes_attacked = 0.0;
     let mut routes_normal = 0.0;
-    for run in 0..runs {
-        let (_, routes) = run_once_faulted(attacked, run, &cfg, worm_cfg, faults);
+    for pair in pairs.chunks_exact(2) {
+        let routes = &pair[0].1;
         routes_attacked += routes.len() as f64;
-        if detector.analyze(&routes, profile).anomalous {
+        if detector.analyze(routes, profile).anomalous {
             detected += 1;
         }
-        let (_, routes) = run_once_faulted(normal, run, &cfg, worm_cfg, faults);
+        let routes = &pair[1].1;
         routes_normal += routes.len() as f64;
-        if detector.analyze(&routes, profile).anomalous {
+        if detector.analyze(routes, profile).anomalous {
             false_pos += 1;
         }
     }
@@ -146,70 +141,78 @@ fn measure_point(
 /// Run the full sweep: loss levels × attacker variants, then churn
 /// scenarios. The profile is trained once, on clean normal runs — the
 /// detector never sees faulted data at training time, exactly the
-/// deployment story.
-pub fn compute(runs: u64) -> RobustnessReport {
+/// deployment story. Every run (training and evaluation) is fetched in
+/// one batch.
+pub fn compute(store: &mut RunStore, runs: u64) -> RobustnessReport {
     let topology = TopologyKind::cluster1();
     let protocol = ProtocolKind::Mr;
     let normal = ScenarioSpec::normal(topology, protocol);
     let attacked = normal.with_wormholes(1);
 
+    // (variant, loss, churn, attacker, faults) per operating point.
+    let mut sweep: Vec<(&str, f64, &str, WormholeConfig, FaultPlan)> = Vec::new();
+    for (variant, worm_cfg) in variants() {
+        for &loss in LOSS_LEVELS {
+            sweep.push((
+                variant,
+                loss,
+                "none",
+                worm_cfg,
+                FaultPlan::constant_loss(loss),
+            ));
+        }
+    }
+    for (label, plan) in churn_plans() {
+        sweep.push(("paper", 0.0, label, WormholeConfig::default(), plan));
+    }
+
+    let train_runs = runs.max(8) as usize;
     let cfg = RouterConfig::new(protocol);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| {
-            run_once_faulted(
-                &normal,
-                TRAIN_OFFSET + i,
-                &cfg,
-                WormholeConfig::default(),
-                None,
-            )
-            .1
-        })
+    let mut keys: Vec<RunKey> = (0..train_runs as u64)
+        .map(|i| RunKey::plain(&normal, TRAIN_OFFSET + i))
         .collect();
+    for (_, _, _, worm_cfg, plan) in &sweep {
+        let faults = (!plan.is_inert()).then(|| plan.clone());
+        for run in 0..runs {
+            for spec in [attacked, normal] {
+                keys.push(RunKey::new(
+                    spec,
+                    run,
+                    cfg.clone(),
+                    *worm_cfg,
+                    faults.clone(),
+                ));
+            }
+        }
+    }
+    let fetched = store.fetch(&keys);
+    let (training, evaluated) = fetched.split_at(train_runs);
+
+    let training: Vec<Vec<Route>> = training.iter().map(|run| run.1.clone()).collect();
     // Same small-sample threshold rationale as the `detection`
     // experiment: the calibrated 2.5σ clears normal traffic with margin
     // at ten-run training scale.
     let detector = SamDetector::new(SamConfig::calibrated());
     let profile = NormalProfile::train(&training, detector.config().pmf_bins);
 
-    let mut points = Vec::new();
-    for (variant, worm_cfg) in variants() {
-        for &loss in LOSS_LEVELS {
-            let plan = FaultPlan::constant_loss(loss);
-            let (det, fp, ra, rn) = measure_point(
-                &normal, &attacked, worm_cfg, &plan, &profile, &detector, runs,
-            );
-            points.push(RobustnessPoint {
+    let per_point = 2 * runs as usize;
+    let points = sweep
+        .iter()
+        .enumerate()
+        .map(|(p, &(variant, loss, churn, _, _))| {
+            let pairs = &evaluated[p * per_point..][..per_point];
+            let (det, fp, ra, rn) = measure_point(pairs, &profile, &detector, runs);
+            RobustnessPoint {
                 variant: variant.to_string(),
                 loss,
-                churn: "none".to_string(),
+                churn: churn.to_string(),
                 detection_rate: det,
                 false_positive_rate: fp,
                 mean_routes_attacked: ra,
                 mean_routes_normal: rn,
-            });
-        }
-    }
-    for (label, plan) in churn_plans() {
-        let (det, fp, ra, rn) = measure_point(
-            &normal,
-            &attacked,
-            WormholeConfig::default(),
-            &plan,
-            &profile,
-            &detector,
-            runs,
-        );
-        points.push(RobustnessPoint {
-            variant: "paper".to_string(),
-            loss: 0.0,
-            churn: label.to_string(),
-            detection_rate: det,
-            false_positive_rate: fp,
-            mean_routes_attacked: ra,
-            mean_routes_normal: rn,
-        });
-    }
+            }
+        })
+        .collect();
     RobustnessReport {
         kind: "robustness".to_string(),
         base_seed: normal.base_seed,
@@ -284,8 +287,8 @@ pub fn tables(report: &RobustnessReport) -> Vec<Table> {
 }
 
 /// Run the experiment end to end (registry entry point).
-pub fn run(runs: u64) -> Vec<Table> {
-    tables(&compute(runs))
+pub fn run(store: &mut RunStore, runs: u64) -> Vec<Table> {
+    tables(&compute(store, runs))
 }
 
 #[cfg(test)]
@@ -294,7 +297,7 @@ mod tests {
 
     #[test]
     fn clean_point_matches_clean_scenario_and_losses_are_covered() {
-        let report = compute(3);
+        let report = compute(&mut RunStore::default(), 3);
         // Loss sweep: every variant measured at every level, plus churn.
         assert_eq!(
             report.points.len(),

@@ -24,8 +24,9 @@
 //! abstaining.
 
 use crate::report::{Cell, Table};
-use crate::runner::{build_plan, run_once_configured};
+use crate::runner::build_plan;
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::{Run, RunKey, RunStore};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use sam::prelude::*;
@@ -136,17 +137,15 @@ struct Scored {
     anomalous: bool,
 }
 
-/// Score every registered detector on one run, with the run's
-/// ground-truth topology observations attached.
+/// Score every registered detector on one run's route set, with the
+/// run's ground-truth topology observations attached.
 fn score_run(
     registry: &DetectorRegistry,
     spec: &ScenarioSpec,
     run: u64,
-    worm_cfg: WormholeConfig,
+    routes: &[Route],
     profile: &NormalProfile,
 ) -> Vec<Scored> {
-    let cfg = RouterConfig::new(spec.protocol);
-    let (_, routes) = run_once_configured(spec, run, &cfg, worm_cfg);
     let plan = build_plan(spec, run);
     let obs = TopologyObservations::new(
         plan.topology
@@ -156,7 +155,7 @@ fn score_run(
             .collect(),
         plan.topology.range(),
     );
-    let input = DetectorInput::new(&routes, profile).with_topology(&obs);
+    let input = DetectorInput::new(routes, profile).with_topology(&obs);
     DETECTOR_NAMES
         .iter()
         .map(|name| {
@@ -222,31 +221,51 @@ fn tpr_within(points: &[RocPoint], budget: f64) -> f64 {
 /// `runs` normal discoveries (shared across variants — an inactive
 /// tunnel's configuration is irrelevant) with every registered detector,
 /// then sweep thresholds. The profile is trained once, on clean normal
-/// runs, exactly as the serving tier trains it.
-pub fn compute(runs: u64) -> RocReport {
+/// runs, exactly as the serving tier trains it. All runs are fetched in
+/// one batch, then scored on the store's workers.
+pub fn compute(store: &mut RunStore, runs: u64) -> RocReport {
     let topology = TopologyKind::cluster1();
     let protocol = ProtocolKind::Mr;
     let normal = ScenarioSpec::normal(topology, protocol);
     let attacked = normal.with_wormholes(1);
+    let variants = variants();
 
+    // The evaluated runs: the normal ones, then each variant's attacked
+    // ones.
     let cfg = RouterConfig::new(protocol);
-    let training: Vec<Vec<Route>> = (0..runs.max(8))
-        .map(|i| run_once_configured(&normal, TRAIN_OFFSET + i, &cfg, WormholeConfig::default()).1)
+    let evaluated: Vec<(ScenarioSpec, u64, WormholeConfig)> =
+        std::iter::once((normal, WormholeConfig::default()))
+            .chain(variants.iter().map(|&(_, worm_cfg)| (attacked, worm_cfg)))
+            .flat_map(|(spec, worm_cfg)| (0..runs).map(move |run| (spec, run, worm_cfg)))
+            .collect();
+    let train_runs = runs.max(8) as usize;
+    let keys: Vec<RunKey> = (0..train_runs as u64)
+        .map(|i| RunKey::plain(&normal, TRAIN_OFFSET + i))
+        .chain(
+            evaluated
+                .iter()
+                .map(|(spec, run, worm_cfg)| RunKey::configured(spec, *run, &cfg, *worm_cfg)),
+        )
         .collect();
+    let fetched = store.fetch(&keys);
+    let (training, evaluated_runs) = fetched.split_at(train_runs);
+
+    let training: Vec<Vec<Route>> = training.iter().map(|run| run.1.clone()).collect();
     let registry = DetectorRegistry::calibrated();
     let profile = NormalProfile::train(&training, SamConfig::calibrated().pmf_bins);
 
-    // Normal runs once: per run, one score per detector.
-    let neg_by_run: Vec<Vec<Scored>> = (0..runs)
-        .map(|run| score_run(&registry, &normal, run, WormholeConfig::default(), &profile))
-        .collect();
+    // Per run, one score per detector.
+    let items: Vec<(&(ScenarioSpec, u64, WormholeConfig), &Run)> =
+        evaluated.iter().zip(evaluated_runs).collect();
+    let scores = store.map(&items, |((spec, run, _), simulated)| {
+        score_run(&registry, spec, *run, &simulated.1, &profile)
+    });
+    let (neg_by_run, pos_by_variant) = scores.split_at(runs as usize);
     let neg_of = |d: usize| -> Vec<Scored> { neg_by_run.iter().map(|s| s[d]).collect() };
 
     let mut curves = Vec::new();
-    for (variant, worm_cfg) in variants() {
-        let pos_by_run: Vec<Vec<Scored>> = (0..runs)
-            .map(|run| score_run(&registry, &attacked, run, worm_cfg, &profile))
-            .collect();
+    for (v, (variant, _)) in variants.iter().enumerate() {
+        let pos_by_run = &pos_by_variant[v * runs as usize..][..runs as usize];
         // SAM's operating FPR on this variant is the matched budget for
         // every detector's comparison column.
         let sam_idx = 0; // DETECTOR_NAMES[0] is "sam"
@@ -339,8 +358,8 @@ pub fn tables(report: &RocReport) -> Vec<Table> {
 }
 
 /// Run the experiment end to end (registry entry point).
-pub fn run(runs: u64) -> Vec<Table> {
-    tables(&compute(runs))
+pub fn run(store: &mut RunStore, runs: u64) -> Vec<Table> {
+    tables(&compute(store, runs))
 }
 
 #[cfg(test)]
@@ -368,7 +387,7 @@ mod tests {
 
     #[test]
     fn always_on_cluster_attack_is_fully_detected_by_sam() {
-        let report = compute(3);
+        let report = compute(&mut RunStore::default(), 3);
         assert_eq!(report.curves.len(), DETECTOR_NAMES.len() * variants().len());
         let sam = report.curve("sam", "always").expect("swept");
         // The paper's scenario: the cluster tunnel dominates discovery,
@@ -387,7 +406,7 @@ mod tests {
         // The acceptance headline: at SAM's matched FPR, the ensemble
         // strictly recovers detection the frequency statistic loses to
         // selective tunneling.
-        let report = compute(6);
+        let report = compute(&mut RunStore::default(), 6);
         let h = &report.headline;
         assert!(
             h.ensemble_tpr > h.sam_tpr,

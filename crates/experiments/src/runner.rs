@@ -1,15 +1,13 @@
-//! Run executor: one simulated discovery per run, paired normal/attacked,
-//! parallel across runs.
+//! Run executor: one simulated discovery per run, paired normal/attacked.
+//! Experiments run these in parallel through a
+//! [`RunStore`](crate::store::RunStore).
 
 use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
-use parking_lot::Mutex;
 use sam::LinkStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::LazyLock;
 
 /// Everything measured in one run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -93,30 +91,11 @@ pub fn run_once_configured(
     run_once_faulted(spec, run, router_cfg, worm_cfg, None)
 }
 
-/// Cap on memoized runs. The reproduce suite needs a few hundred; the
-/// cap only bounds memory for long-running embedders that sweep an
-/// unbounded variety of configurations.
-const RUN_CACHE_CAP: usize = 4096;
-
-/// One memoized outcome: the run record plus its discovered route set.
-type CachedRun = (RunRecord, Vec<Route>);
-
-/// Memoized [`run_once_faulted`] results. A run is a pure function of
-/// its inputs (the simulator's determinism contract), and the
-/// experiment suite replays the same (spec, run, configuration)
-/// combination dozens of times across tables, figures, and ablations —
-/// the cluster-1 attacked baseline alone recurs ~60× per `reproduce`
-/// invocation. Sharing outcomes here outweighs any micro-optimization
-/// in the loop underneath. The key is the `Debug` rendering of every
-/// semantic input, so adding a config field can never silently alias
-/// two distinct runs.
-static RUN_CACHE: LazyLock<Mutex<HashMap<String, CachedRun>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
-
 /// Execute one run with an optional [`FaultPlan`](sam_faults::FaultPlan)
 /// composed onto the scenario (the robustness sweeps feed loss bursts,
 /// churn and jitter through here). `None` is byte-identical to
-/// [`run_once_configured`]. Results are memoized (see [`RUN_CACHE`]).
+/// [`run_once_configured`]. Every call simulates; experiments share
+/// runs through a [`RunStore`](crate::store::RunStore) instead.
 pub fn run_once_faulted(
     spec: &ScenarioSpec,
     run: u64,
@@ -124,14 +103,6 @@ pub fn run_once_faulted(
     worm_cfg: WormholeConfig,
     faults: Option<&sam_faults::FaultPlan>,
 ) -> (RunRecord, Vec<Route>) {
-    let cache_key = format!("{spec:?}|{run}|{router_cfg:?}|{worm_cfg:?}|{faults:?}");
-    if let Some(hit) = RUN_CACHE.lock().get(&cache_key) {
-        let hit = hit.clone();
-        if let Some(tel) = sam_telemetry::global() {
-            tel.registry().counter("discovery.cache_hits").inc();
-        }
-        return hit;
-    }
     let run_seed = derive_seed(spec.base_seed, run);
     let mut span = sam_telemetry::span("experiment.run");
     span.field("scenario", spec.topology.label());
@@ -189,11 +160,6 @@ pub fn run_once_faulted(
         overhead: outcome.overhead,
         suspect_is_tunnel,
     };
-    let mut cache = RUN_CACHE.lock();
-    if cache.len() < RUN_CACHE_CAP {
-        cache.insert(cache_key, (record.clone(), outcome.routes.clone()));
-    }
-    drop(cache);
     (record, outcome.routes)
 }
 
@@ -218,61 +184,21 @@ pub fn run_once_with_routes_faulted(
     )
 }
 
-/// Process-wide override for [`run_series`]'s worker count; 0 = auto
-/// (available parallelism). Set from the `reproduce` binary's `--jobs`.
-static GLOBAL_JOBS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Set the worker-thread count every subsequent [`run_series`] call uses
-/// (`0` restores the default of one thread per available core).
-pub fn set_global_jobs(jobs: usize) {
-    GLOBAL_JOBS.store(jobs, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Execute runs `0..n` in parallel (one independent simulation each) and
-/// return the records in run order. Thread count comes from
-/// [`set_global_jobs`], defaulting to one per available core.
-pub fn run_series(spec: &ScenarioSpec, n: u64) -> Vec<RunRecord> {
-    let jobs = match GLOBAL_JOBS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => default_jobs(),
-        n => n,
-    };
-    run_series_jobs(spec, n, jobs)
-}
-
-/// The default worker count for [`run_series_jobs`]: available
-/// parallelism, or 4 when it cannot be determined.
+/// One worker per available core, or 4 when that cannot be determined
+/// (the default [`RunStore`](crate::store::RunStore) size).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
 }
 
-/// Execute runs `0..n` on exactly `jobs` worker threads (clamped to
-/// `1..=n`) and return the records in run order.
-///
-/// Each run is an independent simulation with its own derived seed, so the
-/// records are identical whatever `jobs` is — only wall-clock changes.
-pub fn run_series_jobs(spec: &ScenarioSpec, n: u64, jobs: usize) -> Vec<RunRecord> {
-    let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; n as usize]);
-    let threads = jobs.min(n as usize).max(1);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let results = &results;
-            s.spawn(move || {
-                let mut run = t as u64;
-                while run < n {
-                    let rec = run_once(spec, run);
-                    results.lock()[run as usize] = Some(rec);
-                    run += threads as u64;
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("all runs executed"))
-        .collect()
+/// Execute runs `0..n` of `spec` in parallel on a fresh
+/// [`RunStore`](crate::store::RunStore) and return the records in run
+/// order. Records are identical whatever the worker count.
+pub fn run_series(spec: &ScenarioSpec, n: u64) -> Vec<RunRecord> {
+    crate::store::RunStore::default()
+        .series(std::slice::from_ref(spec), n)
+        .remove(0)
 }
 
 /// Mean of a field over a series.
@@ -324,21 +250,6 @@ mod tests {
             assert_eq!(x.overhead, y.overhead);
         }
         assert_eq!(a[2].run, 2);
-    }
-
-    #[test]
-    fn series_records_are_invariant_in_job_count() {
-        let spec = ScenarioSpec::attacked(TopologyKind::uniform6x6(), ProtocolKind::Mr);
-        let one = run_series_jobs(&spec, 5, 1);
-        for jobs in [2, 8] {
-            let many = run_series_jobs(&spec, 5, jobs);
-            for (x, y) in one.iter().zip(&many) {
-                assert_eq!(x.run, y.run);
-                assert_eq!(x.p_max, y.p_max);
-                assert_eq!(x.delta, y.delta);
-                assert_eq!(x.overhead, y.overhead);
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! wormhole attack).
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_series, RunRecord};
+use crate::runner::{mean_of, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 use serde::{Deserialize, Serialize};
 
@@ -20,25 +21,29 @@ pub struct PairedSeries {
 }
 
 impl PairedSeries {
-    /// Run `runs` paired discoveries for one configuration.
+    /// Run `runs` paired discoveries (normal, one wormhole) for each
+    /// topology/protocol configuration, as one batch.
     pub fn collect(
-        topology: TopologyKind,
-        protocol: ProtocolKind,
-        wormholes: usize,
+        store: &mut RunStore,
+        configs: &[(TopologyKind, ProtocolKind)],
         runs: u64,
-    ) -> Self {
-        let normal_spec = ScenarioSpec::normal(topology, protocol);
-        let attacked_spec = normal_spec.with_wormholes(wormholes);
-        PairedSeries {
-            label: format!("{}/{}", topology.label(), protocol.label()),
-            normal: run_series(&normal_spec, runs),
-            attacked: run_series(&attacked_spec, runs),
-        }
-    }
-
-    /// Like [`PairedSeries::collect`] with one wormhole.
-    pub fn collect_one_wormhole(topology: TopologyKind, protocol: ProtocolKind, runs: u64) -> Self {
-        Self::collect(topology, protocol, 1, runs)
+    ) -> Vec<Self> {
+        let specs: Vec<ScenarioSpec> = configs
+            .iter()
+            .flat_map(|&(topology, protocol)| {
+                let normal = ScenarioSpec::normal(topology, protocol);
+                [normal, normal.with_wormholes(1)]
+            })
+            .collect();
+        let mut records = store.series(&specs, runs).into_iter();
+        configs
+            .iter()
+            .map(|(topology, protocol)| PairedSeries {
+                label: format!("{}/{}", topology.label(), protocol.label()),
+                normal: records.next().expect("one series per spec"),
+                attacked: records.next().expect("one series per spec"),
+            })
+            .collect()
     }
 
     /// Number of runs.
@@ -110,7 +115,8 @@ mod tests {
     use super::*;
 
     fn small_series() -> PairedSeries {
-        PairedSeries::collect_one_wormhole(TopologyKind::uniform6x6(), ProtocolKind::Mr, 3)
+        let configs = [(TopologyKind::uniform6x6(), ProtocolKind::Mr)];
+        PairedSeries::collect(&mut RunStore::default(), &configs, 3).remove(0)
     }
 
     #[test]

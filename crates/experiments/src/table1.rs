@@ -7,8 +7,9 @@
 //! nonzero everywhere.
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_series, RunRecord};
+use crate::runner::{mean_of, RunRecord};
 use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::store::RunStore;
 use manet_routing::ProtocolKind;
 
 /// The four attacked configurations of Table I/II, in paper column order.
@@ -25,19 +26,22 @@ pub fn configurations() -> Vec<(String, ScenarioSpec)> {
     v
 }
 
+/// Runs `0..runs` of every [`configurations`] entry, as one batch:
+/// `(label, records)` in column order.
+pub fn configured_series(store: &mut RunStore, runs: u64) -> Vec<(String, Vec<RunRecord>)> {
+    let (labels, specs): (Vec<String>, Vec<ScenarioSpec>) = configurations().into_iter().unzip();
+    labels.into_iter().zip(store.series(&specs, runs)).collect()
+}
+
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let configs = configurations();
-    let series: Vec<(String, Vec<RunRecord>)> = configs
-        .into_iter()
-        .map(|(label, spec)| (label, run_series(&spec, runs)))
-        .collect();
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let series = configured_series(store, runs);
 
     let mut columns = vec!["run".to_string()];
     columns.extend(series.iter().map(|(l, _)| format!("{l} %affected")));
     let mut table = Table::new(
         "table1",
-        "Percentage of routes affected by wormhole attack (10 runs)",
+        format!("Percentage of routes affected by wormhole attack ({runs} runs)"),
         columns,
     );
     for i in 0..runs as usize {
@@ -69,7 +73,7 @@ mod tests {
 
     #[test]
     fn cluster_capture_is_near_total_and_uniform_is_partial() {
-        let t = run(4);
+        let t = run(&mut RunStore::default(), 4);
         // Columns: run, cluster-mr, cluster-dsr, uniform-mr, uniform-dsr.
         let avg = t.rows.last().unwrap();
         let get = |i: usize| match avg[i] {

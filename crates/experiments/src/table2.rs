@@ -6,15 +6,13 @@
 //! runs as Table I.
 
 use crate::report::{Cell, Table};
-use crate::runner::{mean_of, run_series, RunRecord};
-use crate::table1::configurations;
+use crate::runner::{mean_of, RunRecord};
+use crate::store::RunStore;
+use crate::table1::configured_series;
 
 /// Run the experiment.
-pub fn run(runs: u64) -> Table {
-    let series: Vec<(String, Vec<RunRecord>)> = configurations()
-        .into_iter()
-        .map(|(label, spec)| (label, run_series(&spec, runs)))
-        .collect();
+pub fn run(store: &mut RunStore, runs: u64) -> Table {
+    let series: Vec<(String, Vec<RunRecord>)> = configured_series(store, runs);
 
     let mut columns = vec!["run".to_string()];
     columns.extend(series.iter().map(|(l, _)| format!("{l} tx+rx")));
@@ -56,7 +54,7 @@ mod tests {
 
     #[test]
     fn mr_overhead_exceeds_dsr() {
-        let t = run(3);
+        let t = run(&mut RunStore::default(), 3);
         let avg = t.rows.last().unwrap();
         let get = |i: usize| match avg[i] {
             Cell::Num(v) => v,

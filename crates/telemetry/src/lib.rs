@@ -50,7 +50,7 @@ pub mod window;
 
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use report::{BenchReport, TelemetryReport};
-pub use span::{EventRecord, SpanGuard};
+pub use span::{EventRecord, ParentGuard, SpanGuard, SpanParent};
 pub use trace::{TraceContext, TraceId, TraceIdGen};
 pub use window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};
 
@@ -213,7 +213,7 @@ pub mod prelude {
         Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
     };
     pub use crate::report::{write_jsonl, BenchReport, TelemetryReport};
-    pub use crate::span::{EventRecord, SpanGuard};
+    pub use crate::span::{EventRecord, ParentGuard, SpanGuard, SpanParent};
     pub use crate::trace::{TraceContext, TraceId, TraceIdGen};
     pub use crate::window::{WindowDelta, WindowRing, DEFAULT_WINDOW_SLOTS};
     pub use crate::{enabled, global, install, span, uninstall, Telemetry};

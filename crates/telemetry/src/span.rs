@@ -4,9 +4,11 @@
 //! creation and, on drop, sends one [`EventRecord`] (name, parent span,
 //! start offset, duration, `key=value` fields) into the owning
 //! collector's lock-free channel. Parentage is tracked per thread with a
-//! span stack, so nested guards on one thread link up automatically and
-//! spans on worker threads are roots — exactly the shape a parallel
-//! experiment run produces.
+//! span stack, so nested guards on one thread link up automatically. A
+//! span on another thread starts a new root unless that thread adopts a
+//! parent: [`SpanGuard::context`] hands over a traced request's span,
+//! and [`SpanParent`] hands any open span to scoped workers (the
+//! experiment pool parents every simulated run under its experiment).
 //!
 //! Guards are cheap when disabled: a guard detached from any collector
 //! only records an `Instant`, so callers can still read
@@ -221,6 +223,50 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The innermost open span of one thread, as a parent that spans on
+/// another thread can nest under. Unlike [`SpanGuard::context`] it needs
+/// no trace id, so it also hands over plain (untraced) spans.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanParent {
+    id: u64,
+    trace: Option<TraceId>,
+}
+
+impl SpanParent {
+    /// The innermost recording span open on the calling thread, if any.
+    pub fn current() -> Option<SpanParent> {
+        SPAN_STACK.with(|s| {
+            s.borrow()
+                .last()
+                .map(|&(id, trace)| SpanParent { id, trace })
+        })
+    }
+
+    /// Adopt this parent on the calling thread: until the returned guard
+    /// drops, spans opened here nest under it (and inherit its trace).
+    pub fn enter(self) -> ParentGuard {
+        SPAN_STACK.with(|s| s.borrow_mut().push((self.id, self.trace)));
+        ParentGuard { id: self.id }
+    }
+}
+
+/// Keeps an adopted [`SpanParent`] on its thread's span stack until
+/// dropped; see [`SpanParent::enter`].
+pub struct ParentGuard {
+    id: u64,
+}
+
+impl Drop for ParentGuard {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            if let Some(pos) = s.iter().rposition(|&(id, _)| id == self.id) {
+                s.remove(pos);
+            }
+        });
+    }
+}
+
 /// Attach `key = value` fields to a [`SpanGuard`] at creation:
 ///
 /// ```
@@ -338,6 +384,34 @@ mod tests {
         );
         assert_eq!(worker.parent, parent.id, "explicit cross-thread linkage");
         assert_eq!(nested.parent, worker.id);
+    }
+
+    #[test]
+    fn span_parent_hands_an_untraced_span_to_scoped_workers() {
+        let tel = Telemetry::new();
+        assert_eq!(SpanParent::current(), None, "nothing open yet");
+        {
+            let _experiment = tel.span("experiment");
+            let parent = SpanParent::current().expect("a span is open");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _adopted = parent.enter();
+                    let _run = tel.span("experiment.run");
+                });
+                s.spawn(|| {
+                    let _orphan = tel.span("orphan");
+                });
+            });
+        }
+        assert_eq!(SpanParent::current(), None, "the guard popped it");
+        let records = tel.drain();
+        let by_name = |n: &str| records.iter().find(|r| r.name == n).unwrap().clone();
+        let experiment = by_name("experiment");
+        let run = by_name("experiment.run");
+        assert_eq!(experiment.trace, None, "untraced, so no context exists");
+        assert_eq!(run.parent, experiment.id, "adopted across the thread");
+        assert_eq!(run.trace, None);
+        assert_eq!(by_name("orphan").parent, 0, "no adoption, a root");
     }
 
     #[test]

@@ -11,6 +11,11 @@ fn mean(records: &[RunRecord], f: impl Fn(&RunRecord) -> f64) -> f64 {
     mean_of(records, f)
 }
 
+/// `RUNS` paired discoveries (normal vs one wormhole) on a fresh store.
+fn paired(topology: TopologyKind, protocol: ProtocolKind) -> PairedSeries {
+    PairedSeries::collect(&mut RunStore::default(), &[(topology, protocol)], RUNS).remove(0)
+}
+
 #[test]
 fn table1_cluster_fully_captured_uniform_partially() {
     let cluster_mr = run_series(
@@ -107,7 +112,7 @@ fn fig5_attacked_pmf_has_isolated_high_frequency_outlier() {
 
 #[test]
 fn fig6_7_features_separate_on_cluster() {
-    let s = PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, RUNS);
+    let s = paired(TopologyKind::cluster1(), ProtocolKind::Mr);
     assert!(
         s.separation(|r| r.p_max) > 0.05,
         "p_max sep {}",
@@ -122,10 +127,8 @@ fn fig6_7_features_separate_on_cluster() {
 
 #[test]
 fn fig8_long_uniform_link_separates_where_short_one_is_weak() {
-    let short =
-        PairedSeries::collect_one_wormhole(TopologyKind::uniform6x6(), ProtocolKind::Mr, RUNS);
-    let long =
-        PairedSeries::collect_one_wormhole(TopologyKind::uniform10x6(), ProtocolKind::Mr, RUNS);
+    let short = paired(TopologyKind::uniform6x6(), ProtocolKind::Mr);
+    let long = paired(TopologyKind::uniform10x6(), ProtocolKind::Mr);
     assert!(
         long.separation(|r| r.p_max) > short.separation(|r| r.p_max),
         "long {} ≤ short {}",
@@ -137,7 +140,7 @@ fn fig8_long_uniform_link_separates_where_short_one_is_weak() {
 
 #[test]
 fn fig10_random_topologies_separate_p_max() {
-    let s = PairedSeries::collect_one_wormhole(TopologyKind::Random, ProtocolKind::Mr, RUNS);
+    let s = paired(TopologyKind::Random, ProtocolKind::Mr);
     assert!(
         s.separation(|r| r.p_max) > 0.05,
         "sep {}",
@@ -160,7 +163,7 @@ fn fig10_random_topologies_separate_p_max() {
 #[test]
 fn fig11_12_both_tiers_separate() {
     for tier in [TopologyKind::cluster1(), TopologyKind::cluster2()] {
-        let s = PairedSeries::collect_one_wormhole(tier, ProtocolKind::Mr, RUNS);
+        let s = paired(tier, ProtocolKind::Mr);
         assert!(
             s.separation(|r| r.p_max) > 0.02,
             "{}: p_max sep {}",
@@ -172,8 +175,8 @@ fn fig11_12_both_tiers_separate() {
 
 #[test]
 fn fig13_14_p_max_carries_over_to_dsr_delta_does_not() {
-    let mr = PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Mr, RUNS);
-    let dsr = PairedSeries::collect_one_wormhole(TopologyKind::cluster1(), ProtocolKind::Dsr, RUNS);
+    let mr = paired(TopologyKind::cluster1(), ProtocolKind::Mr);
+    let dsr = paired(TopologyKind::cluster1(), ProtocolKind::Dsr);
     // Fig. 14: p_max separates for both protocols.
     assert!(mr.separation(|r| r.p_max) > 0.03);
     assert!(dsr.separation(|r| r.p_max) > 0.03);
