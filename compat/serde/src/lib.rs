@@ -2,31 +2,43 @@
 //!
 //! The build environment has no registry access, so instead of the real
 //! serde (trait + visitor machinery + proc-macro stack) the workspace
-//! vendors a much smaller model: every serializable type converts to and
-//! from a JSON-shaped [`Value`] tree. `#[derive(Serialize, Deserialize)]`
-//! is provided by the sibling `serde_derive` proc-macro (enabled by the
-//! `derive` feature, like upstream), and `serde_json` renders/parses the
-//! tree as JSON text.
+//! vendors a much smaller model with one path each way:
+//!
+//! - **Writing** goes straight to text. [`Serialize::write_json`] appends
+//!   a type's compact JSON to an output `String`: no intermediate tree,
+//!   no per-key allocation. Integers are formatted from a stack buffer,
+//!   floats through `fmt::Write` (shortest round-trip; non-finite values
+//!   become `null`), strings with a fast path for text that needs no
+//!   escaping.
+//! - **Reading** goes through [`Value`], a JSON-shaped tree that
+//!   `serde_json` parses text into and [`Deserialize::from_value`] reads
+//!   typed data out of.
+//!
+//! [`Value`] is itself a type that serializes like any other; the few
+//! cold paths that need a tree of a `Serialize` type (pretty-printing,
+//! embedding an opaque object) read the compact text back with
+//! `serde_json`. `#[derive(Serialize, Deserialize)]` is provided by the
+//! sibling `serde_derive` proc-macro (enabled by the `derive` feature,
+//! like upstream).
 //!
 //! The wire format is self-consistent (everything the workspace writes it
 //! can read back) but intentionally *not* byte-compatible with upstream
-//! serde_json; nothing in the repo depends on the exact bytes, only on
-//! round-tripping.
+//! serde_json: maps of any key type are `[key, value]` pair arrays.
 
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, Hash};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The JSON-shaped data model every serializable type maps onto.
+/// The JSON-shaped tree that decoding reads from.
 ///
 /// Integers keep their signedness ([`Value::Int`] / [`Value::UInt`]) so
 /// `u64::MAX` survives a round trip exactly; floats are stored as `f64`
-/// and rendered with Rust's shortest-round-trip formatting, so they also
+/// and written with Rust's shortest-round-trip formatting, so they also
 /// survive exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -100,16 +112,123 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Conversion into the [`Value`] data model.
+/// Writing a value as compact JSON text.
 pub trait Serialize {
-    /// Serialize `self` to a value tree.
-    fn to_value(&self) -> Value;
+    /// Append `self` as compact JSON to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-/// Conversion back from the [`Value`] data model.
+/// Reading a value back from the [`Value`] tree.
 pub trait Deserialize: Sized {
     /// Rebuild `Self` from a value tree.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+}
+
+// ---------------------------------------------------------------------------
+// Text writers shared by the impls below
+// ---------------------------------------------------------------------------
+
+/// Append `n` in decimal.
+fn write_u64(n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    let mut n = n;
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &b in &buf[i..] {
+        out.push(b as char);
+    }
+}
+
+/// Append `n` in decimal, with a leading `-` when negative.
+fn write_i64(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    write_u64(n.unsigned_abs(), out);
+}
+
+/// Append `f` as the shortest decimal that parses back to the same bits
+/// (`f64`'s `Display`), or `null` when it is not finite: JSON has no
+/// representation for NaN or the infinities.
+fn write_f64(f: f64, out: &mut String) {
+    if f.is_finite() {
+        write!(out, "{f}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted JSON string. Quote, backslash, `\n`, `\r` and
+/// `\t` get their short escapes, other control characters `\u00XX`;
+/// everything else, non-ASCII included, is copied as is. Text with
+/// nothing to escape is copied in one piece.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `start..i` ends on a char
+        // boundary.
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Append `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Append map entries as an array of `[key, value]` pairs, so keys of
+/// any type (e.g. `Link`) work without a string-key convention.
+fn write_pairs<'a, K: Serialize + 'a, V: Serialize + 'a>(
+    entries: impl IntoIterator<Item = (&'a K, &'a V)>,
+    out: &mut String,
+) {
+    out.push('[');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        k.write_json(out);
+        out.push(',');
+        v.write_json(out);
+        out.push(']');
+    }
+    out.push(']');
 }
 
 // ---------------------------------------------------------------------------
@@ -117,8 +236,8 @@ pub trait Deserialize: Sized {
 // ---------------------------------------------------------------------------
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -134,8 +253,8 @@ impl Deserialize for bool {
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn write_json(&self, out: &mut String) {
+                write_u64(*self as u64, out);
             }
         }
         impl Deserialize for $t {
@@ -159,8 +278,8 @@ macro_rules! impl_uint {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
+            fn write_json(&self, out: &mut String) {
+                write_i64(*self as i64, out);
             }
         }
         impl Deserialize for $t {
@@ -188,8 +307,10 @@ impl_int!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn write_json(&self, out: &mut String) {
+                // `f32` widens to `f64` first, so it prints the digits of
+                // the exact widened value.
+                write_f64(*self as f64, out);
             }
         }
         impl Deserialize for $t {
@@ -211,8 +332,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -226,14 +347,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -249,8 +370,8 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -259,10 +380,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 // ---------------------------------------------------------------------------
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -277,14 +398,14 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -302,8 +423,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 // serde's `rc` feature). Hot-path packet payloads use `Arc<[T]>` so a
 // fan-out clone is a refcount bump, not an allocation.
 impl<T: Serialize> Serialize for std::sync::Arc<[T]> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self.iter(), out);
     }
 }
 
@@ -314,25 +435,31 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
 }
 
 macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+    ($(($first:ident : $first_idx:tt $(, $name:ident : $idx:tt)*))*) => {$(
+        impl<$first: Serialize $(, $name: Serialize)*> Serialize for ($first, $($name,)*) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.$first_idx.write_json(out);
+                $(
+                    out.push(',');
+                    self.$idx.write_json(out);
+                )*
+                out.push(']');
             }
         }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
+        impl<$first: Deserialize $(, $name: Deserialize)*> Deserialize for ($first, $($name,)*) {
             fn from_value(v: &Value) -> Result<Self, DeError> {
                 let a = v
                     .as_array()
                     .ok_or_else(|| DeError::msg(format!("expected tuple array, got {v:?}")))?;
-                let expect = [$($idx),+].len();
+                let expect = [$first_idx $(, $idx)*].len();
                 if a.len() != expect {
                     return Err(DeError::msg(format!(
                         "expected {expect}-tuple, got {} elements",
                         a.len()
                     )));
                 }
-                Ok(($($name::from_value(&a[$idx])?,)+))
+                Ok(($first::from_value(&a[$first_idx])?, $($name::from_value(&a[$idx])?,)*))
             }
         }
     )*};
@@ -345,15 +472,9 @@ impl_tuple! {
     (A: 0, B: 1, C: 2, D: 3)
 }
 
-// Maps serialize as arrays of [key, value] pairs so non-string keys (e.g.
-// `Link`) work without a string-key convention.
 impl<K: Serialize, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_pairs(self, out);
     }
 }
 
@@ -377,12 +498,8 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_pairs(self, out);
     }
 }
 
@@ -401,8 +518,28 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Int(n) => write_i64(*n, out),
+            Value::UInt(n) => write_u64(*n, out),
+            Value::Float(f) => write_f64(*f, out),
+            Value::Str(s) => write_str(s, out),
+            Value::Array(items) => write_seq(items, out),
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(k, out);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 

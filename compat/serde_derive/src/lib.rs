@@ -7,21 +7,47 @@
 //! this workspace declares: non-generic structs (named, tuple, unit) and
 //! non-generic enums whose variants are unit, tuple, or struct-like.
 //!
-//! Generated mapping onto the `serde::Value` model:
+//! `Serialize` writes compact JSON text directly (field keys are literal
+//! pushes); `Deserialize` reads the `serde::Value` tree. Both use one
+//! shape:
 //! - named struct  → object of fields
 //! - tuple struct, one field → the inner value (newtype transparency)
 //! - tuple struct, n fields → array
 //! - unit struct → null
 //! - enum: unit variant → `"Variant"`; tuple/struct variant →
 //!   single-entry object `{ "Variant": payload }`
+//!
+//! A named field missing from the input is an error, except that (as
+//! upstream) an `Option<T>` field decodes as `None`, a field marked
+//! `#[serde(default)]` as `Default::default()`, and one marked
+//! `#[serde(default = "path")]` as `path()`. That is how fields added to
+//! a format after it shipped stay readable from older input.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
+
+/// What a named field decodes to when its key is missing.
+enum Missing {
+    /// A decode error.
+    Error,
+    /// `None` (the field is an `Option<T>`).
+    None,
+    /// `Default::default()` (`#[serde(default)]`).
+    Default,
+    /// A call of the named function (`#[serde(default = "path")]`).
+    Call(String),
+}
+
+/// One named field.
+struct Field {
+    name: String,
+    missing: Missing,
+}
 
 /// Field shape of a struct or enum variant.
 enum Fields {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 /// Parsed item shape.
@@ -79,13 +105,69 @@ fn skip_to_next_field(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Parse `{ field: Type, ... }` into field names.
-fn parse_named(stream: TokenStream) -> Vec<String> {
+/// The `#[serde(default)]` / `#[serde(default = "path")]` marker in the
+/// attributes starting at `i`, skipping past them all.
+fn field_default(toks: &[TokenTree], i: &mut usize) -> Option<Missing> {
+    let mut found = None;
+    while let Some(TokenTree::Punct(p)) = toks.get(*i) {
+        if p.as_char() != '#' {
+            break;
+        }
+        if let Some(TokenTree::Group(g)) = toks.get(*i + 1) {
+            let attr: Vec<TokenTree> = g.stream().into_iter().collect();
+            if let [TokenTree::Ident(id), TokenTree::Group(args)] = &attr[..] {
+                if id.to_string() == "serde" {
+                    found = Some(parse_serde_args(args.stream()));
+                }
+            }
+        }
+        *i += 2;
+    }
+    found
+}
+
+/// Read the arguments of one `#[serde(...)]` field attribute.
+fn parse_serde_args(stream: TokenStream) -> Missing {
+    let args: Vec<TokenTree> = stream.into_iter().collect();
+    match &args[..] {
+        [TokenTree::Ident(id)] if id.to_string() == "default" => Missing::Default,
+        [TokenTree::Ident(id), TokenTree::Punct(eq), TokenTree::Literal(path)]
+            if id.to_string() == "default" && eq.as_char() == '=' =>
+        {
+            let path = path.to_string();
+            Missing::Call(path.trim_matches('"').to_string())
+        }
+        _ => {
+            let args: TokenStream = args.into_iter().collect();
+            panic!("serde_derive: unsupported field attribute serde({args})")
+        }
+    }
+}
+
+/// Whether the type tokens starting at `i` name `Option<..>` (bare or
+/// by path).
+fn is_option(toks: &[TokenTree], i: usize) -> bool {
+    let mut last_ident = None;
+    for t in &toks[i..] {
+        match t {
+            TokenTree::Ident(id) => last_ident = Some(id.to_string()),
+            TokenTree::Punct(p) if p.as_char() == ':' => {}
+            TokenTree::Punct(p) if p.as_char() == '<' => {
+                return last_ident.as_deref() == Some("Option")
+            }
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// Parse `{ field: Type, ... }` into its fields.
+fn parse_named(stream: TokenStream) -> Vec<Field> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
-    let mut names = Vec::new();
+    let mut fields = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        skip_attrs(&toks, &mut i);
+        let default = field_default(&toks, &mut i);
         skip_vis(&toks, &mut i);
         if i >= toks.len() {
             break;
@@ -96,10 +178,15 @@ fn parse_named(stream: TokenStream) -> Vec<String> {
         };
         i += 1; // name
         i += 1; // ':'
+        let missing = match default {
+            Some(d) => d,
+            None if is_option(&toks, i) => Missing::None,
+            None => Missing::Error,
+        };
         skip_to_next_field(&toks, &mut i);
-        names.push(name);
+        fields.push(Field { name, missing });
     }
-    names
+    fields
 }
 
 /// Count the fields of `( Type, ... )`.
@@ -211,89 +298,120 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Emit the `Serialize` impl for `item`.
-fn gen_serialize(item: &Item) -> String {
-    let mut s = String::new();
-    match item {
-        Item::Struct { name, fields } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ "
-            ));
-            match fields {
-                Fields::Named(names) => {
-                    s.push_str("::serde::Value::Object(::std::vec![");
-                    for f in names {
-                        s.push_str(&format!(
-                            "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-                        ));
-                    }
-                    s.push_str("])");
-                }
-                Fields::Tuple(1) => s.push_str("::serde::Serialize::to_value(&self.0)"),
-                Fields::Tuple(n) => {
-                    s.push_str("::serde::Value::Array(::std::vec![");
-                    for idx in 0..*n {
-                        s.push_str(&format!("::serde::Serialize::to_value(&self.{idx}),"));
-                    }
-                    s.push_str("])");
-                }
-                Fields::Unit => s.push_str("::serde::Value::Null"),
-            }
-            s.push_str(" } }");
-        }
-        Item::Enum { name, variants } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ match self {{ "
-            ));
-            for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => s.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
-                    )),
-                    Fields::Tuple(1) => s.push_str(&format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Object(::std::vec![(\
-                         ::std::string::String::from(\"{v}\"), ::serde::Serialize::to_value(__f0))]),"
-                    )),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        s.push_str(&format!("{name}::{v}({}) => ", binds.join(",")));
-                        s.push_str(&format!(
-                            "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Array(::std::vec!["
-                        ));
-                        for b in &binds {
-                            s.push_str(&format!("::serde::Serialize::to_value({b}),"));
-                        }
-                        s.push_str("]))]),");
-                    }
-                    Fields::Named(names) => {
-                        s.push_str(&format!("{name}::{v} {{ {} }} => ", names.join(",")));
-                        s.push_str(&format!(
-                            "::serde::Value::Object(::std::vec![(::std::string::String::from(\"{v}\"), ::serde::Value::Object(::std::vec!["
-                        ));
-                        for f in names {
-                            s.push_str(&format!(
-                                "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({f})),"
-                            ));
-                        }
-                        s.push_str("]))]),");
-                    }
-                }
-            }
-            s.push_str(" } } }");
-        }
+/// Source appending the literal JSON text `text` to the output buffer.
+/// `text` is built from identifiers and JSON punctuation, so its `"`
+/// quotes are the only characters the string literal must escape.
+/// Generated code names the buffer `__out`, so no field binding can
+/// shadow it.
+fn push(text: &str) -> String {
+    format!("__out.push_str(\"{}\");", text.replace('"', "\\\""))
+}
+
+/// Source writing `{"a":<a>,"b":<b>}`, where field `f` is read from the
+/// expression `access(f)`.
+fn write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    if fields.is_empty() {
+        return push("{}");
     }
+    let mut s = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let sep = if i == 0 { "{" } else { "," };
+        s.push_str(&push(&format!("{sep}\"{}\":", f.name)));
+        s.push_str(&format!(
+            "::serde::Serialize::write_json({}, __out);",
+            access(&f.name)
+        ));
+    }
+    s.push_str("__out.push('}');");
     s
 }
 
+/// Source writing `[<e0>,<e1>,…]` from the given element expressions.
+fn write_array(elems: &[String]) -> String {
+    let mut s = String::from("__out.push('[');");
+    for (i, e) in elems.iter().enumerate() {
+        if i > 0 {
+            s.push_str("__out.push(',');");
+        }
+        s.push_str(&format!("::serde::Serialize::write_json({e}, __out);"));
+    }
+    s.push_str("__out.push(']');");
+    s
+}
+
+/// Emit the `Serialize` impl for `item`: compact JSON written straight
+/// into the output, every field key a literal push.
+fn gen_serialize(item: &Item) -> String {
+    let (name, body) = match item {
+        Item::Struct { name, fields } => {
+            let body = match fields {
+                Fields::Named(fields) => write_object(fields, |f| format!("&self.{f}")),
+                Fields::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+                Fields::Tuple(n) => {
+                    write_array(&(0..*n).map(|k| format!("&self.{k}")).collect::<Vec<_>>())
+                }
+                Fields::Unit => push("null"),
+            };
+            (name, body)
+        }
+        Item::Enum { name, variants } => {
+            let mut body = String::from("match self { ");
+            for (v, fields) in variants {
+                match fields {
+                    Fields::Unit => {
+                        body.push_str(&format!("{name}::{v} => {{ {} }}", push(&format!("\"{v}\""))));
+                    }
+                    Fields::Tuple(1) => body.push_str(&format!(
+                        "{name}::{v}(__f0) => {{ {} ::serde::Serialize::write_json(__f0, __out); __out.push('}}'); }}",
+                        push(&format!("{{\"{v}\":"))
+                    )),
+                    Fields::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                        body.push_str(&format!(
+                            "{name}::{v}({}) => {{ {} {} __out.push('}}'); }}",
+                            binds.join(","),
+                            push(&format!("{{\"{v}\":")),
+                            write_array(&binds)
+                        ));
+                    }
+                    Fields::Named(fields) => {
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        body.push_str(&format!(
+                            "{name}::{v} {{ {} }} => {{ {} {} __out.push('}}'); }}",
+                            binds.join(","),
+                            push(&format!("{{\"{v}\":")),
+                            write_object(fields, str::to_string)
+                        ));
+                    }
+                }
+            }
+            body.push_str(" }");
+            (name, body)
+        }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{ \
+         fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }} }}"
+    )
+}
+
 /// Emit a named-field constructor body reading from value `src`.
-fn gen_named_build(ty_path: &str, names: &[String], src: &str) -> String {
+fn gen_named_build(ty_path: &str, fields: &[Field], src: &str) -> String {
     let mut s = format!("{ty_path} {{ ");
-    for f in names {
+    for Field { name: f, missing } in fields {
+        let absent = match missing {
+            Missing::Error => format!(
+                "return ::std::result::Result::Err(::serde::DeError::msg(\
+                 \"missing field {ty_path}.{f}\"))"
+            ),
+            Missing::None => "::std::option::Option::None".to_string(),
+            Missing::Default => "::std::default::Default::default()".to_string(),
+            Missing::Call(path) => format!("{path}()"),
+        };
         s.push_str(&format!(
             "{f}: match {src}.field(\"{f}\") {{ \
              Some(__v) => ::serde::Deserialize::from_value(__v)?, \
-             None => return ::std::result::Result::Err(::serde::DeError::msg(\
-                 \"missing field {ty_path}.{f}\")) }},"
+             None => {absent} }},"
         ));
     }
     s.push_str(" }");
@@ -310,10 +428,10 @@ fn gen_deserialize(item: &Item) -> String {
                  fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ "
             ));
             match fields {
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
                     s.push_str(&format!(
                         "::std::result::Result::Ok({})",
-                        gen_named_build(name, names, "__v")
+                        gen_named_build(name, fields, "__v")
                     ));
                 }
                 Fields::Tuple(1) => s.push_str(&format!(
@@ -381,10 +499,10 @@ fn gen_deserialize(item: &Item) -> String {
                         }
                         s.push_str(")) },");
                     }
-                    Fields::Named(names) => {
+                    Fields::Named(fields) => {
                         s.push_str(&format!(
                             "\"{v}\" => ::std::result::Result::Ok({}),",
-                            gen_named_build(&format!("{name}::{v}"), names, "__inner")
+                            gen_named_build(&format!("{name}::{v}"), fields, "__inner")
                         ));
                     }
                 }
@@ -402,8 +520,8 @@ fn gen_deserialize(item: &Item) -> String {
     s
 }
 
-/// Derive `serde::Serialize` (value-model flavour; see crate docs).
-#[proc_macro_derive(Serialize)]
+/// Derive `serde::Serialize` (compact JSON text; see crate docs).
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -411,8 +529,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive: generated Serialize impl parses")
 }
 
-/// Derive `serde::Deserialize` (value-model flavour; see crate docs).
-#[proc_macro_derive(Deserialize)]
+/// Derive `serde::Deserialize` (from the value tree; see crate docs).
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)

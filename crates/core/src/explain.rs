@@ -74,15 +74,20 @@ pub struct RouteExplanation {
 /// The full explanation of one detection, serialized into flight
 /// recordings, telemetry JSONL, and `results/*.json` reports (its
 /// `kind` field discriminates the line).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+///
+/// Lines recorded before the detector redesign carry no `detector`,
+/// `score` or `evidence`; they decode as `"sam"`, 0 and `None`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Explanation {
     /// Line discriminator, always `"explanation"`.
     pub kind: String,
     /// Name of the detector that produced the verdict (`"sam"`,
     /// `"zscore"`, `"geometric"`, `"ensemble"`).
+    #[serde(default = "sam_detector_name")]
     pub detector: String,
     /// The detector's normalized anomaly score (1.0 = decision
     /// boundary); 0 on explanations predating the detector redesign.
+    #[serde(default)]
     pub score: f64,
     /// Detector-specific evidence, when the producing path supplied it.
     pub evidence: Option<DetectorEvidence>,
@@ -110,45 +115,9 @@ pub struct Explanation {
     pub routes: Vec<RouteExplanation>,
 }
 
-// Hand-written so explanation lines recorded before the detector
-// redesign (no `detector`/`score`/`evidence` fields) keep decoding:
-// those three default, everything else stays required.
-impl Deserialize for Explanation {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(Explanation {
-            kind: Deserialize::from_value(required("kind")?)?,
-            detector: match v.field("detector") {
-                None => "sam".to_string(),
-                Some(d) => Deserialize::from_value(d)?,
-            },
-            score: match v.field("score") {
-                None => 0.0,
-                Some(s) => Deserialize::from_value(s)?,
-            },
-            evidence: match v.field("evidence") {
-                None => None,
-                Some(e) => Deserialize::from_value(e)?,
-            },
-            suspect_link: match v.field("suspect_link") {
-                None => None,
-                Some(l) => Deserialize::from_value(l)?,
-            },
-            suspect_count: Deserialize::from_value(required("suspect_count")?)?,
-            total_links: Deserialize::from_value(required("total_links")?)?,
-            p_max: Deserialize::from_value(required("p_max")?)?,
-            delta: Deserialize::from_value(required("delta")?)?,
-            z_p_max: Deserialize::from_value(required("z_p_max")?)?,
-            z_delta: Deserialize::from_value(required("z_delta")?)?,
-            lambda: Deserialize::from_value(required("lambda")?)?,
-            anomalous: Deserialize::from_value(required("anomalous")?)?,
-            tunnel_traversals: Deserialize::from_value(required("tunnel_traversals")?)?,
-            routes: Deserialize::from_value(required("routes")?)?,
-        })
-    }
+/// The detector of explanations recorded before detectors were named.
+fn sam_detector_name() -> String {
+    "sam".to_string()
 }
 
 /// Shared construction: list the suspect-crossing routes with their
@@ -274,12 +243,6 @@ impl Explanation {
         route.hops = hops;
         route.lineage_depth = lineage_depth;
         self.tunnel_traversals = self.routes.iter().map(|r| r.tunnel_hops).sum();
-    }
-
-    /// The explanation as a JSON value tree (for embedding in flight
-    /// recordings and reports).
-    pub fn to_value(&self) -> serde::Value {
-        Serialize::to_value(self)
     }
 }
 
@@ -479,7 +442,7 @@ mod tests {
         let line = serde_json::to_string(&ex).unwrap();
         let back: Explanation = serde_json::from_str(&line).unwrap();
         assert_eq!(back, ex);
-        let v = ex.to_value();
+        let v = serde_json::to_value(&ex).unwrap();
         assert_eq!(
             v.field("kind").and_then(serde::Value::as_str),
             Some("explanation")

@@ -20,7 +20,7 @@
 
 use crate::report::{Cell, Table};
 use crate::runner::{mean_of as mean, RunRecord};
-use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::scenario::{ScenarioSpec, TopologyKind, TRAIN_OFFSET};
 use crate::store::{RunKey, RunStore};
 use manet_attacks::WormholeConfig;
 use manet_routing::{ProtocolKind, RouterConfig};
@@ -225,7 +225,7 @@ pub fn hidden_detection(store: &mut RunStore, runs: u64) -> Table {
     ];
     let train_runs = runs.max(6) as usize;
     let mut keys: Vec<RunKey> = (0..train_runs as u64)
-        .map(|i| RunKey::plain(&normal, 1000 + i))
+        .map(|i| RunKey::plain(&normal, TRAIN_OFFSET + i))
         .collect();
     for (spec, worm) in &families {
         keys.extend((0..runs).map(|i| RunKey::configured(spec, i, &cfg, *worm)));
@@ -287,7 +287,7 @@ pub fn mobility(store: &mut RunStore, runs: u64) -> Table {
     let spec_n = ScenarioSpec::normal(TopologyKind::cluster1(), ProtocolKind::Mr);
     let training: Vec<Vec<Route>> = store
         .fetch_series(&[spec_n], runs.max(8), |spec, i| {
-            RunKey::plain(spec, 1000 + i)
+            RunKey::plain(spec, TRAIN_OFFSET + i)
         })
         .remove(0)
         .iter()
@@ -446,7 +446,7 @@ pub fn threshold_sweep(store: &mut RunStore, runs: u64) -> Table {
     // One batch: training runs, then the normal and attacked runs.
     let train_runs = runs.max(8) as usize;
     let keys: Vec<RunKey> = (0..train_runs as u64)
-        .map(|i| RunKey::plain(&normal, 1000 + i))
+        .map(|i| RunKey::plain(&normal, TRAIN_OFFSET + i))
         .chain(
             [normal, attacked]
                 .iter()

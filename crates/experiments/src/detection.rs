@@ -12,17 +12,13 @@
 
 use crate::report::{Cell, Table};
 use crate::runner::build_plan;
-use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind};
+use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TopologyKind, TRAIN_OFFSET};
 use crate::store::{RunKey, RunStore};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Offset separating training run indices from evaluation indices (so the
-/// profile never sees its own evaluation data).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// Quality metrics for one configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]

@@ -3,7 +3,7 @@
 //! [`FlightRecording`] for the `sam-trace` CLI.
 
 use crate::runner::{build_plan, run_once_with_routes};
-use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec};
+use crate::scenario::{derive_seed, draw_endpoints, ScenarioSpec, TRAIN_OFFSET};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use manet_sim::prelude::*;
@@ -11,10 +11,6 @@ use manet_sim::TraceChannel;
 use sam::prelude::*;
 use sam_flight::{reconstruct_route, FlightMeta, FlightRecording};
 use sam_telemetry::Telemetry;
-
-/// Offset separating training run indices from the recorded run (same
-/// convention as the `detection` experiment).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// Knobs for one recorded run.
 #[derive(Clone, Debug)]
@@ -134,7 +130,8 @@ pub fn record_flight(
     recording.entries = trace.entries().to_vec();
     recording.spans = tel.drain();
     recording.snapshot = Some(tel.snapshot());
-    recording.explanation = Some(explanation.to_value());
+    recording.explanation =
+        Some(serde_json::to_value(&explanation).expect("an explanation's JSON parses"));
     (recording, explanation)
 }
 

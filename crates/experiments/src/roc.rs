@@ -25,16 +25,12 @@
 
 use crate::report::{Cell, Table};
 use crate::runner::build_plan;
-use crate::scenario::{ScenarioSpec, TopologyKind};
+use crate::scenario::{ScenarioSpec, TopologyKind, TRAIN_OFFSET};
 use crate::store::{Run, RunKey, RunStore};
 use manet_attacks::prelude::*;
 use manet_routing::prelude::*;
 use sam::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Offset separating training run indices from evaluation indices (same
-/// convention as the `detection` and `robustness` experiments).
-const TRAIN_OFFSET: u64 = 1000;
 
 /// The selective attacker's tunneling probability — the headline
 /// operating point (`p ≤ 0.3` is where frequency statistics starve).

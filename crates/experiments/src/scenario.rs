@@ -81,6 +81,12 @@ impl TopologyKind {
     }
 }
 
+/// Offset separating profile-training run indices from evaluation runs,
+/// so a profile never sees its own evaluation data. Every experiment and
+/// the serving catalogue train on runs `TRAIN_OFFSET + i`; one shared
+/// value lets the run store dedup those training runs across experiments.
+pub const TRAIN_OFFSET: u64 = 1000;
+
 /// Deterministic per-run seed derivation: mixes the experiment's base seed
 /// with the run index (splitmix64-style finalizer).
 pub fn derive_seed(base: u64, run: u64) -> u64 {

@@ -14,9 +14,8 @@ use crate::scenario::{derive_seed, ScenarioSpec, TopologyKind};
 use manet_routing::{ProtocolKind, Route};
 use sam::NormalProfile;
 
-/// Offset separating profile-training runs from serving traffic (matches
-/// the convention in [`crate::detection`]).
-pub const TRAIN_OFFSET: u64 = 1000;
+pub use crate::scenario::TRAIN_OFFSET;
+
 /// Training route sets per profile.
 pub const TRAIN_RUNS: u64 = 8;
 /// Distinct replayed route sets per scenario in a loadgen corpus.

@@ -96,7 +96,10 @@ pub struct WindowStats {
 }
 
 /// Cumulative since-start totals.
-#[derive(Clone, Debug, Serialize)]
+///
+/// The three tracing totals joined the schema after `sam-top` shipped;
+/// a report without them decodes them as 0.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatsTotals {
     /// Requests served.
     pub requests: u64,
@@ -119,42 +122,14 @@ pub struct StatsTotals {
     /// Cumulative 99th-percentile gateway latency, microseconds.
     pub p99_us: u64,
     /// Requests served under a trace context (0 without `--trace`).
+    #[serde(default)]
     pub traced_requests: u64,
     /// Traces kept by the tail sampler.
+    #[serde(default)]
     pub trace_exemplars: u64,
     /// Verdict-audit JSONL lines appended (0 without `--audit-log`).
+    #[serde(default)]
     pub audit_records: u64,
-}
-
-// Hand-written: the three tracing totals joined the schema after
-// `sam-top` shipped, and a new dashboard must still read an old
-// gateway's report (missing → 0).
-impl Deserialize for StatsTotals {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        let lenient = |name: &str| match v.field(name) {
-            None => Ok(0),
-            Some(f) => <u64 as Deserialize>::from_value(f),
-        };
-        Ok(StatsTotals {
-            requests: Deserialize::from_value(required("requests")?)?,
-            request_shed: Deserialize::from_value(required("request_shed")?)?,
-            conns_accepted: Deserialize::from_value(required("conns_accepted")?)?,
-            conn_shed: Deserialize::from_value(required("conn_shed")?)?,
-            active_conns: Deserialize::from_value(required("active_conns")?)?,
-            cache_hits: Deserialize::from_value(required("cache_hits")?)?,
-            cache_misses: Deserialize::from_value(required("cache_misses")?)?,
-            slow_requests: Deserialize::from_value(required("slow_requests")?)?,
-            slo_violations: Deserialize::from_value(required("slo_violations")?)?,
-            p99_us: Deserialize::from_value(required("p99_us")?)?,
-            traced_requests: lenient("traced_requests")?,
-            trace_exemplars: lenient("trace_exemplars")?,
-            audit_records: lenient("audit_records")?,
-        })
-    }
 }
 
 /// Ask a running gateway for its stats over one TCP round trip: connect,

@@ -74,7 +74,7 @@ pub struct TraceExemplar {
 /// One verdict-audit JSONL line, appended for every completed request
 /// when the gateway runs with `--audit-log`. `kind` pins the line shape
 /// so audit files can be grepped out of mixed logs.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AuditRecord {
     /// Line discriminator, `"audit"`.
     pub kind: String,
@@ -117,41 +117,6 @@ impl AuditRecord {
     /// Encode as one JSONL line (no terminator).
     pub fn encode(&self) -> String {
         serde_json::to_string(self).expect("audit record serializes")
-    }
-}
-
-// Hand-written so `detector`/`score` default to `None`: audit JSONL
-// written before detector selection existed decodes unchanged.
-impl Deserialize for AuditRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        fn opt<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                None => Ok(None),
-                Some(t) => Deserialize::from_value(t),
-            }
-        }
-        Ok(AuditRecord {
-            kind: Deserialize::from_value(required("kind")?)?,
-            trace: Deserialize::from_value(required("trace")?)?,
-            id: Deserialize::from_value(required("id")?)?,
-            key: Deserialize::from_value(required("key")?)?,
-            shard: opt(v, "shard")?,
-            status: Deserialize::from_value(required("status")?)?,
-            detector: opt(v, "detector")?,
-            score: opt(v, "score")?,
-            anomalous: opt(v, "anomalous")?,
-            confirmed: opt(v, "confirmed")?,
-            p_max: opt(v, "p_max")?,
-            suspect_link: opt(v, "suspect_link")?,
-            total_us: Deserialize::from_value(required("total_us")?)?,
-            queue_wait_us: Deserialize::from_value(required("queue_wait_us")?)?,
-            compute_us: Deserialize::from_value(required("compute_us")?)?,
-            serialize_us: Deserialize::from_value(required("serialize_us")?)?,
-        })
     }
 }
 

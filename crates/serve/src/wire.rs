@@ -243,7 +243,11 @@ impl std::error::Error for WireError {}
 /// One detection request as it crosses the wire. Flat key fields keep the
 /// protocol self-describing; routes are plain node-id arrays, validated
 /// into [`Route`]s (no short or looped paths) on decode.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+///
+/// `probe_ack_ratio`, `detector`, `timings` and `trace` joined the
+/// protocol after clients shipped: a line without them decodes as
+/// `None`/`false`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireRequest {
     /// Caller-chosen correlation id, echoed in the response.
     pub id: u64,
@@ -264,46 +268,12 @@ pub struct WireRequest {
     /// When `true`, the gateway returns the per-stage latency breakdown
     /// (`queue_wait_us`/`compute_us`/`serialize_us`) in the response's
     /// `timings` field.
+    #[serde(default)]
     pub timings: bool,
     /// Client-stamped trace id (32 hex digits). The gateway adopts it for
     /// the request's spans and echoes it on the response; absent or
     /// unparseable → the gateway mints its own.
     pub trace: Option<String>,
-}
-
-// Hand-written instead of derived: the derive treats every key as
-// required, but `timings`, `trace` (and the optional `probe_ack_ratio`)
-// joined the protocol after clients shipped — a request line that omits
-// them must still decode, defaulting to `false`/`None`.
-impl Deserialize for WireRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(WireRequest {
-            id: Deserialize::from_value(required("id")?)?,
-            topology: Deserialize::from_value(required("topology")?)?,
-            protocol: Deserialize::from_value(required("protocol")?)?,
-            routes: Deserialize::from_value(required("routes")?)?,
-            probe_ack_ratio: match v.field("probe_ack_ratio") {
-                None => None,
-                Some(p) => Deserialize::from_value(p)?,
-            },
-            detector: match v.field("detector") {
-                None => None,
-                Some(d) => Deserialize::from_value(d)?,
-            },
-            timings: match v.field("timings") {
-                None => false,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-            trace: match v.field("trace") {
-                None => None,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-        })
-    }
 }
 
 impl WireRequest {
@@ -457,7 +427,10 @@ pub fn decode_line(bytes: &[u8]) -> Result<WireLine, WireError> {
 /// One response line. A flat struct (rather than an enum) keeps every
 /// field addressable by `jq` without knowing the variant encoding; the
 /// `status` constants above discriminate.
-#[derive(Clone, Debug, Serialize)]
+///
+/// Every field but `id` and `status` is optional, so a new client reads
+/// an older gateway's lines (a missing field is `None`).
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WireResponse {
     /// Correlation id from the request (0 when the line had none).
     pub id: u64,
@@ -495,40 +468,6 @@ pub struct WireResponse {
     pub exemplars: Option<Vec<TraceExemplar>>,
     /// Failure reason, on `"error"`.
     pub error: Option<String>,
-}
-
-// Hand-written for the same reason as `WireRequest`: `trace` and
-// `exemplars` joined the response after clients shipped, and a new
-// client must still decode an old gateway's lines (missing → `None`).
-impl Deserialize for WireResponse {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        fn opt<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                None => Ok(None),
-                Some(f) => <Option<T> as Deserialize>::from_value(f),
-            }
-        }
-        Ok(WireResponse {
-            id: Deserialize::from_value(required("id")?)?,
-            status: Deserialize::from_value(required("status")?)?,
-            detector: opt(v, "detector")?,
-            score: opt(v, "score")?,
-            verdict: opt(v, "verdict")?,
-            profile_cache_hit: opt(v, "profile_cache_hit")?,
-            explanation: opt(v, "explanation")?,
-            queue_depth: opt(v, "queue_depth")?,
-            timings: opt(v, "timings")?,
-            stats: opt(v, "stats")?,
-            stats_text: opt(v, "stats_text")?,
-            trace: opt(v, "trace")?,
-            exemplars: opt(v, "exemplars")?,
-            error: opt(v, "error")?,
-        })
-    }
 }
 
 impl WireResponse {

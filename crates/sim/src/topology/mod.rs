@@ -189,11 +189,12 @@ impl Topology {
 /// The wire format stores placement only; connectivity is derived, so it
 /// is rebuilt on deserialization (and the CSR arrays never hit the wire).
 impl Serialize for Topology {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("positions".to_string(), self.positions.to_value()),
-            ("range".to_string(), self.range.to_value()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"positions\":");
+        self.positions.write_json(out);
+        out.push_str(",\"range\":");
+        self.range.write_json(out);
+        out.push('}');
     }
 }
 

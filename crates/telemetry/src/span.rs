@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One finished span or point event, as exported to JSONL.
-#[derive(Clone, Debug, Serialize, PartialEq)]
+#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct EventRecord {
     /// Line discriminator: `"span"` or `"event"`.
     pub kind: String,
@@ -40,35 +40,11 @@ pub struct EventRecord {
     /// Wall-clock duration, microseconds; 0 for point events.
     pub dur_us: u64,
     /// The request trace this record belongs to (32 hex digits), when it
-    /// was opened under a [`TraceContext`]. `None` for untraced spans.
+    /// was opened under a [`TraceContext`]. `None` for untraced spans,
+    /// and for lines exported before the field existed.
     pub trace: Option<String>,
     /// `key=value` annotations, in insertion order.
     pub fields: Vec<(String, String)>,
-}
-
-// Hand-written instead of derived: `trace` joined the schema after
-// JSONL exports shipped, so recordings written without it must still
-// load (missing → `None`). The derive would treat every key as required.
-impl Deserialize for EventRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| {
-            v.field(name)
-                .ok_or_else(|| serde::DeError::msg(format!("missing field `{name}`")))
-        };
-        Ok(EventRecord {
-            kind: Deserialize::from_value(required("kind")?)?,
-            id: Deserialize::from_value(required("id")?)?,
-            parent: Deserialize::from_value(required("parent")?)?,
-            name: Deserialize::from_value(required("name")?)?,
-            start_us: Deserialize::from_value(required("start_us")?)?,
-            dur_us: Deserialize::from_value(required("dur_us")?)?,
-            trace: match v.field("trace") {
-                None => None,
-                Some(t) => Deserialize::from_value(t)?,
-            },
-            fields: Deserialize::from_value(required("fields")?)?,
-        })
-    }
 }
 
 /// The recording half shared between a `Telemetry` handle and its spans.
